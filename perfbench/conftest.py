@@ -1,0 +1,12 @@
+"""Benchmark tests import paravox from src/ and the benchmark modules from here.
+
+Run them with:  python3 -m pytest perfbench -q
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
