@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as pt
 from .errors import ShapeError
 from .module import Linear, Module
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, conv1d
 
 
 def apply_mask(x: Tensor, mask) -> Tensor:
@@ -51,27 +51,6 @@ class LayerNorm(Module):
         return pt.layer_norm(x, self.gain, self.bias, self.eps)
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """Time-axis convolution of [B, T, d_in] with [k, d_in, d_out], SAME zero padding.
-
-    Output length is ceil(T / stride).  Left padding is fixed at k // 2 so the
-    window alignment at valid positions never depends on how much trailing
-    padding a batch carries.
-    """
-    k = weight.shape[0]
-    t = x.shape[1]
-    t_out = -(-t // stride)
-    left = k // 2
-    right = max((t_out - 1) * stride + k - left - t, 0)
-    xp = pt.pad_axis(x, 1, left, right)
-    out = None
-    last = stride * (t_out - 1)
-    for j in range(k):
-        term = pt.matmul(xp[:, j:j + last + 1:stride, :], weight[j])
-        out = term if out is None else out + term
-    return out + bias
-
-
 class LightweightConv(Module):
     """Depthwise conv sharing one kernel per head, taps softmax-normalized.
 
@@ -93,17 +72,8 @@ class LightweightConv(Module):
         return pt.softmax(self.kernel, axis=1)
 
     def __call__(self, x: Tensor, mask=None) -> Tensor:
-        b, t, d = x.shape
-        h, k = self.heads, self.kernel_size
-        w = self.normalized_kernel()
-        xm = apply_mask(x, mask)
-        xp = pt.pad_axis(xm, 1, k // 2, k // 2)
-        acc = None
-        for j in range(k):
-            seg = pt.reshape(xp[:, j:j + t, :], (b, t, h, d // h))
-            term = seg * pt.reshape(w[:, j], (1, 1, h, 1))
-            acc = term if acc is None else acc + term
-        return apply_mask(pt.reshape(acc, (b, t, d)), mask)
+        out = pt.lightweight_conv(apply_mask(x, mask), self.normalized_kernel())
+        return apply_mask(out, mask)
 
 
 class LConvBlock(Module):

@@ -26,20 +26,29 @@ def _weighted(out: Tensor, seed: int) -> Tensor:
 
 
 def check_tensor_ops() -> GradCheckReport:
+    """Element-wise ops and every fused op: softmax, layer_norm, a lightweight
+    conv (odd width, one masked row) and a strided conv1d.  The convs' input
+    gradients are checked through ``w``, which feeds them."""
     rng = np.random.default_rng(0)
     w = pt.Parameter(rng.normal(size=(6, 6)), "w")
     gain = pt.Parameter(np.ones(6), "gain")
     bias = pt.Parameter(np.zeros(6), "bias")
+    taps = pt.Parameter(rng.normal(size=(2, 3)), "lconv_taps")
+    conv_w = pt.Parameter(rng.normal(size=(3, 6, 4)) * 0.5, "conv1d_weight")
+    conv_b = pt.Parameter(rng.normal(size=4), "conv1d_bias")
     x = Tensor(rng.normal(size=(2, 5, 6)))
     mix = Tensor(rng.normal(size=(2, 5, 6)))
+    mask = np.array([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]], dtype=float)
 
     def f():
         h = pt.matmul(x, w)
         h = pt.layer_norm(h, gain, bias)
         h = pt.softmax(h, axis=-1) + pt.sigmoid(h) + pt.softplus(h) + pt.tanh(h)
-        return (h * mix).sum()
+        c = pt.lightweight_conv(blocks.apply_mask(h, mask), pt.softmax(taps, axis=1))
+        s = pt.conv1d(blocks.apply_mask(c, mask), conv_w, conv_b, stride=2)
+        return (h * mix).sum() + _weighted(s, 31)
 
-    return grad_check(f, [w, gain, bias])
+    return grad_check(f, [w, gain, bias, taps, conv_w, conv_b])
 
 
 def check_blocks() -> GradCheckReport:

@@ -225,7 +225,10 @@ def cmd_bench(args) -> int:
     for kind in kinds:
         if kind not in BENCH_KINDS:
             raise UsageError(f"unknown decoder {kind!r}; choose from {','.join(BENCH_KINDS)}")
-    frames = [int(f) for f in args.frames.split(",")]
+    frames = args.frames.split(",")
+    if not all(f.strip().isdecimal() and int(f) > 0 for f in frames):
+        raise UsageError(f"--frames must be comma-separated positive integers, got {args.frames!r}")
+    frames = [int(f) for f in frames]
     if args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
     rows = run_benchmark(kinds, frames, repeats=args.repeats, d_model=args.d_model,

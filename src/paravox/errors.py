@@ -22,7 +22,7 @@ class ConfigError(ValueError):
 
 
 class VocabularyError(ValueError):
-    """Token id or symbol outside the phoneme inventory."""
+    """Token id or symbol outside the phoneme inventory, or no tokens at all."""
 
 
 class NonDeterministicError(RuntimeError):

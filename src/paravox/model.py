@@ -23,7 +23,7 @@ from . import tensor as pt
 from .decoder import DecoderConfig, SpectrogramDecoder
 from .duration import DurationPredictor, DurationTarget, duration_loss, finalize_durations
 from .encoder import EncoderConfig, EncoderOutput, SpeakerTable, TextEncoder, attach_conditioning
-from .errors import ShapeError
+from .errors import ShapeError, VocabularyError
 from .module import Module, RandomSource
 from .tensor import Tensor
 from .upsample import FeatureCombiner, positional_features, upsample
@@ -246,10 +246,19 @@ class SynthesisModel(Module):
         return dur_pred
 
     def synthesize(self, tokens: np.ndarray, speaker: int):
-        """Full inference: text -> durations -> frames -> mel. Returns (mel, frames)."""
+        """Full inference: text -> durations -> frames -> mel. Returns (mel, frames).
+
+        Raises VocabularyError for an empty token sequence or an id outside the
+        inventory.
+        """
         cfg = self.cfg
+        tokens = np.asarray(tokens, dtype=int).reshape(1, -1)
+        if tokens.size == 0:
+            raise VocabularyError("nothing to synthesize: the token sequence is empty")
+        if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+            raise VocabularyError(f"token ids must lie in [0, {cfg.vocab_size}), "
+                                  f"got {tokens.min()}..{tokens.max()}")
         with pt.no_grad():
-            tokens = np.asarray(tokens, dtype=int).reshape(1, -1)
             speakers = np.array([speaker])
             enc = self.encoder(tokens)
             spk = self.speakers(speakers)

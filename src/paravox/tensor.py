@@ -3,6 +3,14 @@
 Every differentiable operation records its parents and a closure that maps
 the output gradient to parent-gradient contributions.  ``backward`` walks the
 graph once in reverse topological order, so fan-out accumulates correctly.
+The sweep frees intermediates as it goes: once a node's closure has run, the
+node drops its gradient and its closure (and with it every array the closure
+held).  Only leaves (Parameters and input tensors) keep ``.grad``, and a swept
+graph cannot be swept again.
+
+The hot network ops are fused: ``softmax``, ``layer_norm``, ``conv1d`` (im2col
+and one matmul) and ``lightweight_conv`` (a sliding window and one contraction)
+are each a single graph node with a hand-written numpy backward.
 
 Two run-level precisions exist: "standard" (float32) for training and "high"
 (float64) for finite-difference gradient checks.  The precision is a global
@@ -10,7 +18,12 @@ switch; it applies to tensors created after the switch.
 
 Multiply-add counting: each forward op adds its cost to a global counter so
 callers can compare decoder variants by exact operation counts instead of
-wall clock.
+wall clock.  Contractions count their multiply-adds: ``matmul`` m*k*n per
+batch entry, ``conv1d`` k*d_in*d_out per output frame, and
+``lightweight_conv`` k per output element.  Element-wise ops, ``softmax``,
+``layer_norm`` and ``gather_rows`` count one per output element, ``sum_`` one
+per input element, and shape ops (reshape, transpose, concat, slicing,
+padding, expand) nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +95,8 @@ class Tensor:
     """A node in the reverse-mode computation graph.
 
     ``data`` is a contiguous numpy array; ``grad`` has the same shape and is
-    allocated lazily on first accumulation.
+    allocated lazily on first accumulation.  ``backward`` resets the ``grad``
+    and ``_backward`` of every non-leaf node it sweeps to None.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
@@ -112,8 +126,9 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)  # a private copy, never an alias of g
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -165,9 +180,6 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
 
 class Parameter(Tensor):
     """A named trainable leaf tensor.
@@ -209,10 +221,10 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} are not broadcast-compatible")
 
 
-def _make(out_data, parents, backward):
-    _count(out_data.size)
-    if not _state["grad"]:
-        return Tensor(out_data)
+def _make(out_data, parents, backward, madds=None) -> Tensor:
+    """Count the op's multiply-adds (default: one per output element) and wrap
+    its result; under ``no_grad`` the node keeps neither parents nor closure."""
+    _count(out_data.size if madds is None else madds)
     return Tensor(out_data, parents, backward)
 
 
@@ -371,17 +383,23 @@ def matmul(a, b) -> Tensor:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul batch dimensions not broadcastable: {a.shape} vs {b.shape}")
-    out_data = a.data @ b.data
-    batch = int(np.prod(out_data.shape[:-2], dtype=np.int64)) if out_data.ndim > 2 else 1
-    _count(batch * out_data.shape[-2] * a.shape[-1] * out_data.shape[-1])
+    if b.ndim == 2:
+        # a shared [k, n] weight: forward and both gradients are 2-D GEMMs over a's rows
+        rows = a.data.reshape(-1, a.shape[-1])
+        out_data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
 
-    def bw(g):
-        a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        def bw(g):
+            g_rows = g.reshape(-1, g.shape[-1])
+            a._accum((g_rows @ b.data.T).reshape(a.data.shape))
+            b._accum(rows.T @ g_rows)
+    else:
+        out_data = a.data @ b.data
 
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, (a, b), bw)
+        def bw(g):
+            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+    return _make(out_data, (a, b), bw, madds=out_data.size * a.shape[-1])
 
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
@@ -396,10 +414,7 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, a.data.shape))
 
-    _count(a.size)
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, (a,), bw)
+    return _make(out_data, (a,), bw, madds=a.size)
 
 
 def mean(a, axis=None, keepdims=False) -> Tensor:
@@ -422,9 +437,7 @@ def reshape(a, shape) -> Tensor:
     def bw(g):
         a._accum(g.reshape(a.data.shape))
 
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, (a,), bw)
+    return _make(out_data, (a,), bw, madds=0)
 
 
 def transpose(a, axes) -> Tensor:
@@ -435,9 +448,7 @@ def transpose(a, axes) -> Tensor:
     def bw(g):
         a._accum(g.transpose(inv))
 
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, (a,), bw)
+    return _make(out_data, (a,), bw, madds=0)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -452,9 +463,7 @@ def concat(tensors, axis: int) -> Tensor:
             idx[axis] = slice(lo, hi)
             t._accum(g[tuple(idx)])
 
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, tuple(tensors), bw)
+    return _make(out_data, tuple(tensors), bw, madds=0)
 
 
 def slice_(a, key) -> Tensor:
@@ -467,9 +476,7 @@ def slice_(a, key) -> Tensor:
         buf[key] = g
         a._accum(buf)
 
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, (a,), bw)
+    return _make(out_data, (a,), bw, madds=0)
 
 
 def pad_axis(a, axis: int, before: int, after: int) -> Tensor:
@@ -484,9 +491,7 @@ def pad_axis(a, axis: int, before: int, after: int) -> Tensor:
         idx[axis] = slice(before, before + a.shape[axis])
         a._accum(g[tuple(idx)])
 
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, (a,), bw)
+    return _make(out_data, (a,), bw, madds=0)
 
 
 def expand(a, shape) -> Tensor:
@@ -497,9 +502,7 @@ def expand(a, shape) -> Tensor:
     def bw(g):
         a._accum(_unbroadcast(g, a.data.shape))
 
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, (a,), bw)
+    return _make(out_data, (a,), bw, madds=0)
 
 
 def gather_rows(table, ids: np.ndarray) -> Tensor:
@@ -513,10 +516,7 @@ def gather_rows(table, ids: np.ndarray) -> Tensor:
         np.add.at(buf, ids, g)
         table._accum(buf)
 
-    _count(out_data.size)
-    if not _state["grad"]:
-        return Tensor(out_data)
-    return Tensor(out_data, (table,), bw)
+    return _make(out_data, (table,), bw)
 
 
 def stop_gradient(a) -> Tensor:
@@ -524,29 +524,111 @@ def stop_gradient(a) -> Tensor:
     return Tensor(a.data)
 
 
-# -- composite neural ops -------------------------------------------------------
+# -- fused neural ops --------------------------------------------------------------
 
 def softmax(a, axis: int) -> Tensor:
     """Max-stabilized softmax; outputs form a probability simplex along ``axis``."""
     a = _lift(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = sub(a, Tensor(a.data.max(axis=axis, keepdims=True)))
-    e = exp(shifted)
-    return div(e, sum_(e, axis=axis, keepdims=True))
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g):
+        a._accum(out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)))
+
+    return _make(out_data, (a,), bw)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    gain = _lift(gain)
-    x = _lift(x)
+    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
     if gain.shape[-1] != x.shape[-1]:
         raise ShapeError(f"layer_norm gain extent {gain.shape} does not match feature extent {x.shape[-1]}")
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    normed = centered * inv
+    out_data = normed * gain.data + bias.data
+
+    def bw(g):
+        gn = g * gain.data
+        x._accum(inv * (gn - gn.mean(axis=-1, keepdims=True)
+                        - normed * (gn * normed).mean(axis=-1, keepdims=True)))
+        gain._accum(_unbroadcast(g * normed, gain.data.shape))
+        bias._accum(_unbroadcast(g, bias.data.shape))
+
+    return _make(out_data, (x, gain, bias), bw)
+
+
+def _time_windows(z: np.ndarray, k: int, left: int, right: int) -> np.ndarray:
+    """[B, T, d] -> read-only [B, T + left + right - k + 1, d, k] view of every
+    k-frame window over the zero-padded time axis."""
+    zp = np.pad(z, ((0, 0), (left, right), (0, 0)))
+    return np.lib.stride_tricks.sliding_window_view(zp, k, axis=1)
+
+
+def lightweight_conv(x, kernel) -> Tensor:
+    """Centered depthwise convolution of [B, T, d] with per-head taps [h, k].
+
+    Channel c uses the taps of head c // (d / h) (heads are contiguous channel
+    groups); k is odd and both ends are zero padded, so
+    out[:, t] = sum_j kernel[head, j] * x[:, t + j - k // 2].  Forward and
+    backward are each a sliding window and one contraction over the taps.
+    """
+    x, kernel = _lift(x), _lift(kernel)
+    b, t, d = x.shape
+    h, k = kernel.shape
+    if d % h != 0 or k % 2 != 1:
+        raise ShapeError(f"lightweight_conv needs heads dividing channels and an odd width; "
+                         f"got input {x.shape} and taps {kernel.shape}")
+
+    def windows(z):  # [B, T, h, d/h, k]
+        return _time_windows(z, k, k // 2, k // 2).reshape(b, t, h, d // h, k)
+
+    win = windows(x.data)
+    out_data = np.matmul(win, kernel.data[:, :, None]).reshape(b, t, d)
+
+    def bw(g):
+        kernel._accum(np.matmul(g.reshape(b, t, h, 1, d // h), win).sum(axis=(0, 1)).reshape(h, k))
+        # x[:, s] reaches out[:, s - j + k // 2] through tap j: correlate the
+        # padded gradient with the tap-reversed kernel
+        flipped = np.ascontiguousarray(kernel.data[:, ::-1, None])
+        x._accum(np.matmul(windows(g), flipped).reshape(b, t, d))
+
+    return _make(out_data, (x, kernel), bw, madds=out_data.size * k)
+
+
+def conv1d(x, weight, bias, stride: int = 1) -> Tensor:
+    """Time-axis convolution of [B, T, d_in] with [k, d_in, d_out], SAME zero padding.
+
+    Output length is ceil(T / stride).  Left padding is fixed at k // 2 so the
+    window alignment at valid positions never depends on how much trailing
+    padding a batch carries.  Computed as im2col: one strided window over the
+    padded input, then one matmul against the weight viewed as [k*d_in, d_out].
+    """
+    x, weight, bias = _lift(x), _lift(weight), _lift(bias)
+    b, t, d_in = x.shape
+    k, _, d_out = weight.shape
+    t_out = -(-t // stride)
+    left = k // 2
+    right = max((t_out - 1) * stride + k - left - t, 0)
+    cols = _time_windows(x.data, k, left, right)[:, ::stride][:, :t_out]
+    cols = cols.transpose(0, 1, 3, 2).reshape(b * t_out, k * d_in)  # tap-major columns
+    w2 = weight.data.reshape(k * d_in, d_out)
+    out_data = (cols @ w2 + bias.data).reshape(b, t_out, d_out)
+
+    def bw(g):
+        g2 = g.reshape(b * t_out, d_out)
+        weight._accum((cols.T @ g2).reshape(k, d_in, d_out))
+        bias._accum(_unbroadcast(g, bias.data.shape))
+        g_cols = (g2 @ w2.T).reshape(b, t_out, k, d_in)
+        g_padded = np.zeros((b, left + t + right, d_in), dtype=g_cols.dtype)
+        span = (t_out - 1) * stride + 1
+        for j in range(k):  # col2im: each tap's column block lands on its input frames
+            g_padded[:, j:j + span:stride] += g_cols[:, :, j]
+        x._accum(g_padded[:, left:left + t])
+
+    return _make(out_data, (x, weight, bias), bw, madds=cols.size * d_out)
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -569,14 +651,27 @@ def bce_with_logits(logits, targets) -> Tensor:
 # -- backward sweep ---------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Reverse sweep from a scalar loss; repeated calls accumulate into .grad."""
+    """Reverse sweep from a scalar loss, accumulating into the leaves' ``.grad``.
+
+    Each non-leaf node's gradient and closure are dropped as soon as the
+    closure has run, so intermediates are freed during the sweep.  Leaf
+    gradients (Parameters and input tensors) stay and accumulate across calls
+    over separate graphs.  A graph can be swept only once: a sweep that
+    reaches an already-swept node raises GraphError instead of silently
+    stopping there; run the forward pass again to get a fresh graph.
+    """
     if loss.data.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     order = _topo_order(loss)
+    if any(node._parents and node._backward is None for node in order):
+        raise GraphError("backward reached a node whose graph was already swept; "
+                         "rebuild the graph with a new forward pass")
     loss._accum(np.ones_like(loss.data))
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = None
 
 
 def _topo_order(root: Tensor):

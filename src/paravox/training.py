@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import duration
 from .errors import ConfigError, DegenerateSynthesisError, TrainingDiverged
 from .fileformats import read_arrays, write_arrays, write_mel
 from .model import Batch, ForwardOutputs, ModelConfig, SynthesisModel, make_batch
@@ -468,7 +469,8 @@ def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
                 pred_row = out.predictions[-1].data[row][batch.frame_mask[row] > 0]
                 write_mel(dump_dir / f"utt_{utt_index:04d}.mel", pred_row)
             try:
-                frames = model_finalize(model, p_z[row:row + 1, :n], seconds[row:row + 1, :n])
+                frames = duration.finalize_durations(p_z[row:row + 1, :n], seconds[row:row + 1, :n],
+                                                     model.cfg.frame_rate)
             except DegenerateSynthesisError:
                 degenerate += 1
                 frame_err += float(np.abs(utt.durations).sum())
@@ -492,8 +494,3 @@ def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
         "length_error_mean": length_err / max(len(utterances), 1),
         "degenerate": degenerate,
     }
-
-
-def model_finalize(model: SynthesisModel, p_z, seconds):
-    from .duration import finalize_durations
-    return finalize_durations(p_z, seconds, model.cfg.frame_rate)

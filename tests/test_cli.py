@@ -115,6 +115,12 @@ def test_train_synth_round_trip(tmp_path, corpus_dir):
                "--speaker", "1", "--out", str(tmp_path / "x.mel")])
     assert rc == EXIT_USAGE
 
+    # empty text: usage error, not a traceback from a zero-length sequence
+    rc = main(["synth", "--ckpt", str(run / "model.ckpt"), "--text", "",
+               "--speaker", "1", "--out", str(tmp_path / "x.mel")])
+    assert rc == EXIT_USAGE
+    assert not (tmp_path / "x.mel").exists()
+
 
 def test_train_fine_requires_beta_keys(tmp_path, corpus_dir):
     cfg = tmp_path / "run.cfg"
@@ -206,6 +212,15 @@ def test_bench_csv_and_validation(tmp_path, capsys):
     assert rc == EXIT_USAGE
     rc = main(["bench", "--frames", "8", "--repeats", "0", "--d-model", "16"])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("frames", ["abc", "-3", "0", "8,0", "8,", ""])
+@pytest.mark.parametrize("decoder", ["lconv", "transformer", "ar-sim"])
+def test_bench_rejects_bad_frame_counts(decoder, frames, capsys):
+    rc = main(["bench", "--decoder", decoder, "--frames", frames, "--repeats", "1",
+               "--d-model", "16", "--blocks", "1", "--kernel", "3"])
+    assert rc == EXIT_USAGE
+    assert "--frames" in capsys.readouterr().err
 
 
 def test_missing_corpus_is_runtime_error(tmp_path):

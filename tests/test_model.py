@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import paravox.tensor as pt
-from paravox.errors import ShapeError
+from paravox.errors import ShapeError, VocabularyError
 from paravox.fileformats import read_arrays, write_arrays
 from paravox.model import ModelConfig, SynthesisModel, make_batch
 from paravox.training import (NesterovMomentum, TrainState, load_state, save_state,
@@ -85,6 +85,13 @@ def test_synthesize_deterministic(tiny_spec, tiny_corpus):
     mel2, frames2 = model.synthesize(utt.tokens, utt.speaker)
     assert np.array_equal(mel1, mel2)
     assert np.array_equal(frames1, frames2)
+
+
+@pytest.mark.parametrize("tokens", [[], [0, -1], [0, 10 ** 6]])
+def test_synthesize_rejects_empty_or_unknown_tokens(tiny_spec, tokens):
+    model = force_confident_gate(build(tiny_spec, "novae"))
+    with pytest.raises(VocabularyError):
+        model.synthesize(np.array(tokens, dtype=int), 0)
 
 
 def test_fine_inference_uses_prior_rollout(tiny_spec, tiny_corpus):

@@ -334,3 +334,119 @@ def test_madd_counter_matmul():
     with pt.no_grad():
         pt.matmul(Tensor(np.ones((3, 4, 5))), Tensor(np.ones((3, 5, 6))))
     assert pt.madds() == 3 * 4 * 5 * 6
+
+
+def test_backward_frees_intermediates_and_keeps_leaf_grads():
+    p = Parameter(np.array([1.0, -2.0, 3.0]))
+    x = Tensor(np.array([0.5, 0.25, 2.0]))
+    h = p * x
+    loss = (h * h).sum()
+    backward(loss)
+    assert np.allclose(p.grad, 2 * p.data * x.data ** 2)
+    assert np.allclose(x.grad, 2 * x.data * p.data ** 2)
+    for node in (h, loss):
+        assert node.grad is None and node._backward is None
+        assert node._parents  # the graph structure itself is kept
+
+
+def test_leaf_grad_is_a_private_copy():
+    p = Parameter(np.array([1.0, 2.0]))
+    h = p * 1.0
+    backward(h.sum())
+    g = p.grad
+    backward((p * 3.0).sum())
+    assert p.grad is g and np.array_equal(g, [4.0, 4.0])
+    q = Parameter(np.array([5.0]))
+    upstream = np.array([7.0])
+    q._accum(upstream)
+    q._accum(upstream)
+    assert upstream[0] == 7.0 and q.grad[0] == 14.0
+
+
+def test_second_sweep_over_a_swept_graph_raises():
+    p = Parameter(np.array([2.0]))
+    h = p * p
+    loss = h.sum()
+    backward(loss)
+    with pytest.raises(GraphError):
+        backward(loss)
+    with pytest.raises(GraphError):  # a new loss on top of the swept part
+        backward((h * 3.0).sum())
+    assert p.grad[0] == pytest.approx(4.0)  # neither failed sweep touched the leaf
+
+
+# -- fused ops against plain numpy tap loops ------------------------------------------
+
+def reference_lightweight_conv(x, taps):
+    b, t, d = x.shape
+    h, k = taps.shape
+    xp = np.pad(x, ((0, 0), (k // 2, k // 2), (0, 0)))
+    per_channel = np.repeat(taps, d // h, axis=0)  # [d, k]
+    out = np.zeros_like(x)
+    for j in range(k):
+        out += xp[:, j:j + t] * per_channel[:, j]
+    return out
+
+
+def reference_conv1d(x, weight, bias, stride):
+    b, t, _ = x.shape
+    k = weight.shape[0]
+    t_out = -(-t // stride)
+    xp = np.pad(x, ((0, 0), (k // 2, k), (0, 0)))
+    out = np.tile(bias, (b, t_out, 1))
+    for s in range(t_out):
+        for j in range(k):
+            out[:, s] += xp[:, s * stride + j] @ weight[j]
+    return out
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def check_fused(op, reference, inputs, seed):
+    """Forward equals the numpy reference; every input's gradient matches
+    central differences of the reference."""
+    params = [Parameter(a.copy()) for a in inputs]
+    out = op(*params)
+    expected = reference(*inputs)
+    assert out.shape == expected.shape
+    assert np.allclose(out.data, expected, atol=1e-12)
+    weights = np.random.default_rng(seed).normal(size=expected.shape)
+    backward((out * Tensor(weights)).sum())
+    for p in params:
+        numeric = numeric_grad(lambda: float((reference(*[q.data for q in params]) * weights).sum()),
+                               p.data)
+        assert np.allclose(p.grad, numeric, atol=1e-7)
+
+
+@pytest.mark.parametrize("heads,k,t", [(2, 3, 5), (3, 5, 4), (1, 1, 3), (2, 7, 2)])
+def test_lightweight_conv_matches_tap_loop(heads, k, t):
+    rng = np.random.default_rng(k + t)
+    x = rng.normal(size=(2, t, 6))
+    taps = rng.normal(size=(heads, k))
+    check_fused(pt.lightweight_conv, reference_lightweight_conv, [x, taps], seed=1)
+    pt.reset_madds()
+    with pt.no_grad():
+        pt.lightweight_conv(Tensor(x), Tensor(taps))
+    assert pt.madds() == x.size * k
+
+
+@pytest.mark.parametrize("k,stride,t", [(3, 1, 5), (5, 1, 4), (3, 2, 7), (3, 2, 6), (1, 3, 5)])
+def test_conv1d_matches_tap_loop(k, stride, t):
+    rng = np.random.default_rng(10 * k + stride)
+    x = rng.normal(size=(2, t, 3))
+    weight = rng.normal(size=(k, 3, 4))
+    bias = rng.normal(size=4)
+    check_fused(lambda a, w, c: pt.conv1d(a, w, c, stride=stride),
+                lambda a, w, c: reference_conv1d(a, w, c, stride), [x, weight, bias], seed=2)
+
+
+def test_layer_norm_matches_reference():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2, 3, 5)) * 3.0 + 1.0
+    gain = rng.normal(size=5)
+    bias = rng.normal(size=5)
+    check_fused(pt.layer_norm, reference_layer_norm, [x, gain, bias], seed=3)
