@@ -170,12 +170,12 @@ def check_decoder() -> GradCheckReport:
     return grad_check(f, lc.parameters() + tf.parameters(), max_entries=16)
 
 
-def _tiny_model_config(variant: str, dec_kind: str = "lconv") -> ModelConfig:
+def _tiny_model_config(variant: str) -> ModelConfig:
     return ModelConfig(
         vocab_size=8, num_speakers=2, variant=variant, d_model=16, speaker_dim=8,
         latent_dim=4, latent_proj_dim=8, enc_conv_blocks=1, enc_conv_kernel=3,
         enc_transformer_blocks=1, enc_heads=4, dur_blocks=1, dur_kernel=3, dur_heads=4,
-        dec_kind=dec_kind, dec_blocks=1, dec_heads=4, dec_kernel=3, mel_bins=8,
+        dec_blocks=1, dec_heads=4, dec_kernel=3, mel_bins=8,
         frame_rate=80.0, post_pre_blocks=1, post_strided_blocks=1, post_heads=2,
         post_kernel=3, fine_width=16, fine_blocks=1, fine_heads=4, fine_kernel=3,
         prior_hidden=8)

@@ -18,10 +18,11 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .bench import BENCH_KINDS, format_csv, run_benchmark
 from .checks import REGISTRY, run_checks
+from .decoder import KINDS as DECODER_KINDS
 from .errors import (ConfigError, DegenerateSynthesisError, FormatError,
                      TrainingDiverged, VocabularyError)
 from .fileformats import read_arrays, write_mel, write_mel_text
-from .model import SynthesisModel
+from .model import VARIANTS, SynthesisModel
 from .training import TrainConfig, evaluate, parse_config_file, train
 
 EXIT_OK = 0
@@ -91,7 +92,11 @@ def _corpus_spec_from_file(path: str | None) -> corpus_mod.CorpusSpec:
             problems.append(f"{key}: expected a number, got {raw!r}")
     if problems:
         raise ConfigError(problems)
-    return corpus_mod.CorpusSpec(**kwargs)
+    spec = corpus_mod.CorpusSpec(**kwargs)
+    problems = spec.validate()
+    if problems:
+        raise ConfigError(problems)
+    return spec
 
 
 def cmd_gen(args) -> int:
@@ -144,6 +149,10 @@ def cmd_train(args) -> int:
     else:
         cfg = TrainConfig.from_mapping({}, overrides)
     utterances, header, vocabulary = _load_corpus(args.corpus)
+    problems = cfg.model_config(header.vocab_size, header.num_speakers, header.mel_bins,
+                                header.frame_rate).validate()
+    if problems:
+        raise ConfigError(problems)
     started = time.time()
     out = _prepare_out_dir(args.out, args.force)
     (out / "config.txt").write_text(
@@ -256,8 +265,8 @@ def build_parser() -> _Parser:
     tr = sub.add_parser("train", help="train a synthesizer")
     tr.add_argument("--config", help="training config file (key = value)")
     tr.add_argument("--corpus", required=True, help="corpus container or its directory")
-    tr.add_argument("--variant", choices=["novae", "global", "fine"])
-    tr.add_argument("--decoder", choices=["lconv", "transformer"])
+    tr.add_argument("--variant", choices=VARIANTS)
+    tr.add_argument("--decoder", choices=DECODER_KINDS)
     tr.add_argument("--iterative-loss", choices=["on", "off"], dest="iterative_loss")
     tr.add_argument("--steps", type=int, help="override total_steps")
     tr.add_argument("--resume", help="state checkpoint to resume from")

@@ -36,6 +36,18 @@ class CorpusSpec:
     zero_duration_prob: float = 0.3
     envelope_depth: float = 0.04
 
+    def validate(self) -> list[str]:
+        problems = [f"{name} must be >= 1" for name in ("num_speakers", "mel_bins", "min_tokens")
+                    if getattr(self, name) < 1]
+        if self.min_tokens > self.max_tokens:
+            problems.append(f"min_tokens ({self.min_tokens}) must not exceed "
+                            f"max_tokens ({self.max_tokens})")
+        if self.frame_rate <= 0:
+            problems.append("frame_rate must be positive")
+        if not 0.0 <= self.zero_duration_prob <= 1.0:
+            problems.append(f"zero_duration_prob must lie in [0, 1], got {self.zero_duration_prob}")
+        return problems
+
     @property
     def vocabulary(self) -> list[str]:
         return PHONEMES + [SILENCE] + PUNCTUATION

@@ -18,6 +18,8 @@ from .errors import ShapeError
 from .module import Linear, Module, ModuleList
 from .tensor import Tensor
 
+KINDS = ("lconv", "transformer")
+
 
 @dataclass
 class DecoderConfig:
@@ -31,8 +33,8 @@ class DecoderConfig:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.kind not in ("lconv", "transformer"):
-            problems.append(f"decoder kind must be lconv or transformer, got {self.kind!r}")
+        if self.kind not in KINDS:
+            problems.append(f"decoder kind must be one of {KINDS}, got {self.kind!r}")
         if self.d_model % self.heads != 0:
             problems.append(f"heads ({self.heads}) must divide decoder d_model ({self.d_model})")
         for field in ("num_blocks", "heads", "d_model", "mel_bins"):

@@ -17,14 +17,11 @@ Corpus container (magic ``PVOXCORP``, version 1)
     num_speakers[u32] count[u32] then per utterance:
         speaker[u32] n_tokens[u32] tokens[n x u32] durations[n x u32]
         frames[u32] values[frames*mel_bins x f64]
-
-Duration records (magic ``PVOXDURS``, version 1)
-    magic[8] version[u8] count[u32] then per utterance:
-        n_tokens[u32] pairs[n x (phoneme_id u32, frames u32)]
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -35,7 +32,6 @@ from .errors import FormatError
 CKPT_MAGIC = b"PVOXCKPT"
 MEL_MAGIC = b"PVOXMELS"
 CORPUS_MAGIC = b"PVOXCORP"
-DUR_MAGIC = b"PVOXDURS"
 VERSION = 1
 
 
@@ -109,11 +105,15 @@ def read_arrays(path) -> dict[str, np.ndarray]:
     _check_header(r, CKPT_MAGIC)
     out = {}
     while not r.done():
-        name = r.take(r.u32()).decode("utf-8")
+        raw_name = r.take(r.u32())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{r.label}: parameter name {raw_name!r} is not UTF-8") from exc
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        out[name] = r.f64_array(count, shape)
+        # Python ints: a numpy product of large extents wraps around
+        out[name] = r.f64_array(math.prod(shape), shape)
     return out
 
 
@@ -142,56 +142,3 @@ def write_mel_text(path, mel: np.ndarray) -> None:
         fh.write(f"# frames={mel.shape[0]} bins={mel.shape[1]}\n")
         for row in mel:
             fh.write(" ".join(f"{v:.6f}" for v in row) + "\n")
-
-
-# -- duration records ---------------------------------------------------------------
-
-def write_durations(path, records: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """records: (phoneme_ids, frames) per utterance."""
-    chunks = [DUR_MAGIC, bytes([VERSION]), _u32(len(records))]
-    for ids, frames in records:
-        ids = np.asarray(ids, dtype=int)
-        frames = np.asarray(frames, dtype=int)
-        chunks.append(_u32(len(ids)))
-        pairs = np.empty(2 * len(ids), dtype="<u4")
-        pairs[0::2] = ids
-        pairs[1::2] = frames
-        chunks.append(pairs.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
-
-
-def read_durations(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    r = _Reader(Path(path).read_bytes(), f"duration container {path}")
-    _check_header(r, DUR_MAGIC)
-    out = []
-    for _ in range(r.u32()):
-        n = r.u32()
-        pairs = r.u32_array(2 * n)
-        out.append((pairs[0::2], pairs[1::2]))
-    return out
-
-
-def write_durations_text(path, records) -> None:
-    """One utterance per line: token count then id:frames pairs."""
-    with open(path, "w") as fh:
-        for ids, frames in records:
-            pairs = " ".join(f"{int(i)}:{int(f)}" for i, f in zip(ids, frames))
-            fh.write(f"{len(ids)} {pairs}\n")
-
-
-def read_durations_text(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        n = int(fields[0])
-        if len(fields) != n + 1:
-            raise FormatError(f"duration text line {lineno}: expected {n} pairs, got {len(fields) - 1}")
-        ids, frames = [], []
-        for pair in fields[1:]:
-            i, f = pair.split(":")
-            ids.append(int(i))
-            frames.append(int(f))
-        out.append((np.array(ids), np.array(frames)))
-    return out

@@ -14,14 +14,16 @@ heads are trained on their own losses and only gate synthesis at inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as pt
-from .decoder import DecoderConfig, SpectrogramDecoder
-from .duration import DurationPredictor, DurationTarget, duration_loss, finalize_durations
+from .decoder import (DecoderConfig, SpectrogramDecoder, iterative_spec_loss,
+                      single_spec_loss)
+from .duration import (DurationPrediction, DurationPredictor, DurationTarget, duration_loss,
+                       finalize_durations)
 from .encoder import EncoderConfig, EncoderOutput, SpeakerTable, TextEncoder, attach_conditioning
 from .errors import ShapeError, VocabularyError
 from .module import Module, RandomSource
@@ -33,11 +35,11 @@ from .vae import (FinePosterior, FinePriorLSTM, GlobalPosterior, LatentProjector
 VARIANTS = ("novae", "global", "fine")
 
 
-@dataclass
-class ModelConfig:
-    vocab_size: int
-    num_speakers: int
+@dataclass(kw_only=True)
+class ModelHyperparams:
+    """The model's hyper-parameters, shared by ModelConfig and TrainConfig."""
     variant: str = "global"
+    decoder: str = "lconv"
     d_model: int = 64
     speaker_dim: int = 64
     latent_dim: int = 8
@@ -49,13 +51,10 @@ class ModelConfig:
     dur_blocks: int = 4
     dur_kernel: int = 3
     dur_heads: int = 8
-    dec_kind: str = "lconv"
     dec_blocks: int = 6
     dec_heads: int = 8
     dec_kernel: int = 17
-    mel_bins: int = 128
     dropout: float = 0.1
-    frame_rate: float = 80.0
     post_pre_blocks: int = 3
     post_strided_blocks: int = 5
     post_heads: int = 8
@@ -65,6 +64,15 @@ class ModelConfig:
     fine_heads: int = 8
     fine_kernel: int = 17
     prior_hidden: int = 128
+
+
+@dataclass(kw_only=True)
+class ModelConfig(ModelHyperparams):
+    """Hyper-parameters plus the facts of the corpus the model is built for."""
+    vocab_size: int
+    num_speakers: int
+    mel_bins: int = 128
+    frame_rate: float = 80.0
 
     @property
     def d_cond(self) -> int:
@@ -77,7 +85,7 @@ class ModelConfig:
                              self.dropout)
 
     def decoder_config(self) -> DecoderConfig:
-        return DecoderConfig(self.dec_kind, self.dec_blocks, self.dec_heads,
+        return DecoderConfig(self.decoder, self.dec_blocks, self.dec_heads,
                              self.dec_kernel, self.d_cond, self.mel_bins, self.dropout)
 
     def validate(self) -> list[str]:
@@ -118,19 +126,20 @@ class Batch:
 
 @dataclass
 class ForwardOutputs:
-    """Per-term losses (unnormalized sums) plus everything tests want to inspect."""
-    spec_block_sums: list          # per-block L1 sums over valid frames/bins
+    """Per-term losses plus everything tests want to inspect.
+
+    ``spec_loss`` is normalized by mel bins x valid frames; the duration, KL
+    and prior terms are unnormalized sums.
+    """
+    spec_loss: Tensor
     predictions: list              # per-block [B, T, K]
     dur_ce: Tensor
     dur_l1: Tensor
     kl_per_utterance: Optional[Tensor]   # [B] or None
     prior_loss: Optional[Tensor]         # scalar sum or None
-    duration_pred: object
+    duration_pred: DurationPrediction
     posterior: object = None
     n_tokens: float = 0.0
-    n_frames: float = 0.0
-    mel_bins: int = 0
-    aux: dict = field(default_factory=dict)
 
 
 class SynthesisModel(Module):
@@ -187,19 +196,32 @@ class SynthesisModel(Module):
         _, prior_loss = self.prior_lstm.teacher_forced(enc, spk, teacher)
         return self.latent_proj(z, spk, enc), kl, prior_loss, post
 
-    def _inference_latent(self, enc: EncoderOutput, spk: Tensor, speakers: np.ndarray):
-        cfg = self.cfg
-        if cfg.variant == "novae":
-            return Tensor(np.zeros((len(speakers), cfg.latent_proj_dim)))
-        if cfg.variant == "global":
-            return self.latent_proj(self.speaker_prior(speakers))
-        z = self.prior_lstm.rollout(enc, spk)
-        return self.latent_proj(z, spk, enc)
-
     # -- forward passes ----------------------------------------------------------
 
+    def decode(self, hidden: Tensor, frames: np.ndarray, pad_to: Optional[int] = None,
+               training: bool = False, rng=None) -> list[Tensor]:
+        """Token states and integer frame counts -> per-block mel predictions [B, T, K].
+
+        Upsamples ``hidden`` by ``frames``, adds the blended positional
+        features and runs the decoder.  ``pad_to`` appends fully masked frames
+        up to that length (a target mel may carry them); a layout longer than
+        ``pad_to`` raises ShapeError.
+        """
+        up, _, frame_mask = upsample(hidden, frames)
+        extra = 0 if pad_to is None else pad_to - up.shape[1]
+        if extra < 0:
+            raise ShapeError(f"duration-derived frame count {up.shape[1]} exceeds target mel "
+                             f"frames {pad_to}")
+        x = self.combiner(up, positional_features(frames, self.cfg.d_cond))
+        if extra:
+            x = pt.pad_axis(x, 1, 0, extra)
+            frame_mask = np.pad(frame_mask, ((0, 0), (0, extra)))
+        return self.decoder(x, frame_mask, training, rng)
+
     def forward_train(self, batch: Batch, rng=None, training: bool = True,
-                      sample: bool = True, prior_teacher=None) -> ForwardOutputs:
+                      sample: bool = True, prior_teacher=None,
+                      iterative: bool = True) -> ForwardOutputs:
+        """Teacher-forced pass; ``iterative`` picks the iterative or the single spectrogram loss."""
         cfg = self.cfg
         enc = self.encoder(batch.tokens, batch.token_mask, training, rng)
         spk = self.speakers(batch.speakers)
@@ -209,41 +231,34 @@ class SynthesisModel(Module):
         dur_pred = self.duration_predictor(cond, batch.token_mask, training, rng)
         ce, l1 = duration_loss(dur_pred, DurationTarget.from_frames(batch.frames, cfg.frame_rate),
                                batch.token_mask)
-        up, _, up_mask = upsample(dur_pred.hidden, batch.frames)
-        t_mel = batch.mel.shape[1]
-        if up.shape[1] > t_mel:
-            raise ShapeError(
-                f"duration-derived frame count {up.shape[1]} exceeds target mel "
-                f"frames {t_mel}")
-        feats = positional_features(batch.frames, cfg.d_cond)
-        x = self.combiner(up, feats)
-        if x.shape[1] < t_mel:
-            # target mel may carry extra fully-masked padding frames
-            x = pt.pad_axis(x, 1, 0, t_mel - x.shape[1])
-        preds = self.decoder(x, batch.frame_mask, training, rng)
-        target = Tensor(batch.mel)
-        fmask = Tensor(batch.frame_mask[:, :, None].astype(pt.active_dtype()))
-        sums = [(pt.abs_(p - target) * fmask).sum() for p in preds]
+        preds = self.decode(dur_pred.hidden, batch.frames, batch.mel.shape[1], training, rng)
+        spec_loss = (iterative_spec_loss if iterative else single_spec_loss)(
+            preds, batch.mel, batch.frame_mask)
         return ForwardOutputs(
-            spec_block_sums=sums, predictions=preds, dur_ce=ce, dur_l1=l1,
+            spec_loss=spec_loss, predictions=preds, dur_ce=ce, dur_l1=l1,
             kl_per_utterance=kl, prior_loss=prior_loss, duration_pred=dur_pred,
-            posterior=post, n_tokens=batch.n_valid_tokens, n_frames=batch.n_valid_frames,
-            mel_bins=cfg.mel_bins, aux={"up_mask": up_mask})
+            posterior=post, n_tokens=batch.n_valid_tokens)
 
     def teacher_forward(self, batch: Batch) -> ForwardOutputs:
         """Deterministic evaluation pass: posterior means, ground-truth durations."""
         with pt.no_grad():
             return self.forward_train(batch, rng=None, training=False, sample=False)
 
-    def predict_durations_free(self, batch: Batch):
-        """Free-running duration decision from text only (inference latents)."""
+    def predict_durations_free(self, tokens: np.ndarray, speakers: np.ndarray,
+                               token_mask=None) -> DurationPrediction:
+        """Free-running duration prediction from text only, with inference latents:
+        zero for novae, the speaker prior mean for global, the prior rollout for fine."""
+        cfg = self.cfg
         with pt.no_grad():
-            enc = self.encoder(batch.tokens, batch.token_mask)
-            spk = self.speakers(batch.speakers)
-            latent = self._inference_latent(enc, spk, batch.speakers)
-            cond = attach_conditioning(enc, spk, latent)
-            dur_pred = self.duration_predictor(cond, batch.token_mask)
-        return dur_pred
+            enc = self.encoder(tokens, token_mask)
+            spk = self.speakers(speakers)
+            if cfg.variant == "novae":
+                latent = Tensor(np.zeros((len(speakers), cfg.latent_proj_dim)))
+            elif cfg.variant == "global":
+                latent = self.latent_proj(self.speaker_prior(speakers))
+            else:
+                latent = self.latent_proj(self.prior_lstm.rollout(enc, spk), spk, enc)
+            return self.duration_predictor(attach_conditioning(enc, spk, latent), token_mask)
 
     def synthesize(self, tokens: np.ndarray, speaker: int):
         """Full inference: text -> durations -> frames -> mel. Returns (mel, frames).
@@ -258,18 +273,10 @@ class SynthesisModel(Module):
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise VocabularyError(f"token ids must lie in [0, {cfg.vocab_size}), "
                                   f"got {tokens.min()}..{tokens.max()}")
+        dur_pred = self.predict_durations_free(tokens, np.array([speaker]))
+        frames = finalize_durations(dur_pred.p_z.data, dur_pred.seconds.data, cfg.frame_rate)
         with pt.no_grad():
-            speakers = np.array([speaker])
-            enc = self.encoder(tokens)
-            spk = self.speakers(speakers)
-            latent = self._inference_latent(enc, spk, speakers)
-            cond = attach_conditioning(enc, spk, latent)
-            dur_pred = self.duration_predictor(cond)
-            frames = finalize_durations(dur_pred.p_z.data, dur_pred.seconds.data, cfg.frame_rate)
-            up, _, frame_mask = upsample(dur_pred.hidden, frames)
-            feats = positional_features(frames, cfg.d_cond)
-            x = self.combiner(up, feats)
-            preds = self.decoder(x, frame_mask)
+            preds = self.decode(dur_pred.hidden, frames)
         return preds[-1].data[0], frames[0]
 
 

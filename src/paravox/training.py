@@ -6,9 +6,12 @@ The minimized objective is
         [+ beta * KL]  [+ (1 / N) * prior]
 
 with T the total valid frames in the batch, K the mel bins, and N the total
-valid tokens.  The KL weight beta is constant for the utterance-level VAE and
-linearly annealed for the per-phoneme one.  Gradients are clipped by global
-norm before the momentum update.
+valid tokens.  The spectrogram term sums the L1 of every decoder block's
+prediction (the iterative loss) or keeps only the last block's; the model
+computes it with ``decoder.iterative_spec_loss`` or ``single_spec_loss``.
+The KL weight beta is constant for the utterance-level VAE and linearly
+annealed for the per-phoneme one.  Gradients are clipped by global norm
+before the momentum update.
 """
 
 from __future__ import annotations
@@ -20,30 +23,30 @@ from typing import Optional
 import numpy as np
 
 from . import duration
-from .errors import ConfigError, DegenerateSynthesisError, TrainingDiverged
+from .errors import ConfigError, DegenerateSynthesisError, FormatError, TrainingDiverged
 from .fileformats import read_arrays, write_arrays, write_mel
-from .model import Batch, ForwardOutputs, ModelConfig, SynthesisModel, make_batch
+from .decoder import KINDS as DECODER_KINDS
+from .model import (VARIANTS, Batch, ForwardOutputs, ModelConfig, ModelHyperparams,
+                    SynthesisModel, make_batch)
 from .module import RandomSource
-from .tensor import Parameter, Tensor, backward
+from .tensor import Parameter, Tensor, backward, no_grad
 
 
 @dataclass
 class LossTerms:
-    spec_losses: list                 # per-block L1 sums over valid frames/bins
+    spec: Tensor                      # spectrogram L1, normalized by K*T
     dur_ce: Tensor
     dur_l1: Tensor
     kl: Optional[Tensor]              # [B] per-utterance KL, or None
     prior: Optional[Tensor]           # scalar sum, or None
     lambda_dur: float
     beta: float
-    n_frames: float                   # T: total valid frames
-    mel_bins: int                     # K
     n_tokens: float                   # N: total valid tokens
 
     @classmethod
     def from_outputs(cls, out: ForwardOutputs, lambda_dur: float, beta: float) -> "LossTerms":
-        return cls(out.spec_block_sums, out.dur_ce, out.dur_l1, out.kl_per_utterance,
-                   out.prior_loss, lambda_dur, beta, out.n_frames, out.mel_bins, out.n_tokens)
+        return cls(out.spec_loss, out.dur_ce, out.dur_l1, out.kl_per_utterance,
+                   out.prior_loss, lambda_dur, beta, out.n_tokens)
 
 
 def total_loss(variant: str, terms: LossTerms) -> Tensor:
@@ -57,11 +60,7 @@ def total_loss(variant: str, terms: LossTerms) -> Tensor:
     if variant in ("global", "fine") and terms.kl is None:
         raise ValueError(f"variant {variant!r} requires a KL term")
 
-    spec = terms.spec_losses[0]
-    for extra in terms.spec_losses[1:]:
-        spec = spec + extra
-    out = spec * (1.0 / (terms.mel_bins * terms.n_frames))
-    out = out + (terms.dur_ce + terms.dur_l1) * (terms.lambda_dur / terms.n_tokens)
+    out = terms.spec + (terms.dur_ce + terms.dur_l1) * (terms.lambda_dur / terms.n_tokens)
     if terms.kl is not None:
         out = out + terms.kl.mean() * terms.beta
     if terms.prior is not None:
@@ -140,39 +139,14 @@ class NesterovMomentum:
 
 # -- run configuration --------------------------------------------------------------
 
-_ENUMS = {"variant": ("novae", "global", "fine"), "decoder": ("lconv", "transformer")}
+_ENUMS = {"variant": VARIANTS, "decoder": DECODER_KINDS}
 
 
-@dataclass
-class TrainConfig:
+@dataclass(kw_only=True)
+class TrainConfig(ModelHyperparams):
+    """Model hyper-parameters plus the run's training settings."""
     seed: int = 0
-    variant: str = "global"
-    decoder: str = "lconv"
     iterative_loss: bool = True
-    d_model: int = 64
-    speaker_dim: int = 64
-    latent_dim: int = 8
-    latent_proj_dim: int = 32
-    enc_conv_blocks: int = 3
-    enc_conv_kernel: int = 5
-    enc_transformer_blocks: int = 6
-    enc_heads: int = 8
-    dur_blocks: int = 4
-    dur_kernel: int = 3
-    dur_heads: int = 8
-    dec_blocks: int = 6
-    dec_heads: int = 8
-    dec_kernel: int = 17
-    post_pre_blocks: int = 3
-    post_strided_blocks: int = 5
-    post_heads: int = 8
-    post_kernel: int = 17
-    fine_width: int = 128
-    fine_blocks: int = 5
-    fine_heads: int = 8
-    fine_kernel: int = 17
-    prior_hidden: int = 128
-    dropout: float = 0.1
     base_lr: float = 0.1
     momentum: float = 0.99
     warmup_steps: int = 100
@@ -240,20 +214,9 @@ class TrainConfig:
 
     def model_config(self, vocab_size: int, num_speakers: int, mel_bins: int,
                      frame_rate: float) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size, num_speakers=num_speakers, variant=self.variant,
-            d_model=self.d_model, speaker_dim=self.speaker_dim, latent_dim=self.latent_dim,
-            latent_proj_dim=self.latent_proj_dim, enc_conv_blocks=self.enc_conv_blocks,
-            enc_conv_kernel=self.enc_conv_kernel,
-            enc_transformer_blocks=self.enc_transformer_blocks, enc_heads=self.enc_heads,
-            dur_blocks=self.dur_blocks, dur_kernel=self.dur_kernel, dur_heads=self.dur_heads,
-            dec_kind=self.decoder, dec_blocks=self.dec_blocks, dec_heads=self.dec_heads,
-            dec_kernel=self.dec_kernel, mel_bins=mel_bins, dropout=self.dropout,
-            frame_rate=frame_rate, post_pre_blocks=self.post_pre_blocks,
-            post_strided_blocks=self.post_strided_blocks, post_heads=self.post_heads,
-            post_kernel=self.post_kernel, fine_width=self.fine_width,
-            fine_blocks=self.fine_blocks, fine_heads=self.fine_heads,
-            fine_kernel=self.fine_kernel, prior_hidden=self.prior_hidden)
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelHyperparams)}
+        return ModelConfig(vocab_size=vocab_size, num_speakers=num_speakers,
+                           mel_bins=mel_bins, frame_rate=frame_rate, **shared)
 
     def beta_at(self, step: int) -> float:
         if self.variant == "novae":
@@ -343,7 +306,15 @@ def save_state(state: TrainState, path) -> None:
 
 
 def load_state(state: TrainState, path) -> None:
+    """Restore the model, optimizer and step; FormatError names the file and the
+    first missing entry when ``path`` is not a training state of this model."""
     arrays = read_arrays(path)
+    needed = ["meta/step", *state.optimizer.state_arrays(), *state.model.state_arrays()]
+    missing = [k for k in needed if k not in arrays]
+    if missing:
+        more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
+        raise FormatError(f"{path} is not a training state of this model: "
+                          f"it lacks {missing[0]}{more}")
     step = int(arrays.pop("meta/step"))
     velocities = {k: v for k, v in arrays.items() if k.startswith("velocity/")}
     params = {k: v for k, v in arrays.items() if not k.startswith("velocity/")}
@@ -357,13 +328,8 @@ def train_step(state: TrainState, batch: Batch, cfg: TrainConfig,
     step = state.step + 1
     beta = cfg.beta_at(step)
     out = state.model.forward_train(batch, rng=rng, training=True,
-                                    sample=cfg.sample_posterior)
-    terms = LossTerms.from_outputs(out, cfg.lambda_dur, beta)
-    if cfg.variant == "novae":
-        terms.kl = None
-    if not cfg.iterative_loss:
-        terms.spec_losses = [out.spec_block_sums[-1]]
-    loss = total_loss(cfg.variant, terms)
+                                    sample=cfg.sample_posterior, iterative=cfg.iterative_loss)
+    loss = total_loss(cfg.variant, LossTerms.from_outputs(out, cfg.lambda_dur, beta))
     if not np.isfinite(loss.data):
         raise TrainingDiverged(f"non-finite loss {loss.data!r} at step {step}")
     state.model.zero_grad()
@@ -372,10 +338,9 @@ def train_step(state: TrainState, batch: Batch, cfg: TrainConfig,
     grad_norm = clip_global_norm(params, cfg.clip_norm)
     state.optimizer.step(cfg.lr_at(step))
     state.step = step
-    spec_total = sum(float(s.data) for s in terms.spec_losses) / (out.mel_bins * out.n_frames)
     return {
         "step": step, "lr": cfg.lr_at(step), "beta": beta, "total": float(loss.data),
-        "spec": spec_total, "dur_ce": float(out.dur_ce.data) / out.n_tokens,
+        "spec": float(out.spec_loss.data), "dur_ce": float(out.dur_ce.data) / out.n_tokens,
         "dur_l1": float(out.dur_l1.data) / out.n_tokens,
         "kl": float(out.kl_per_utterance.data.mean()) if out.kl_per_utterance is not None else 0.0,
         "prior": float(out.prior_loss.data) / out.n_tokens if out.prior_loss is not None else 0.0,
@@ -425,13 +390,24 @@ def _chunks(n: int, size: int):
         yield list(range(lo, min(lo + size, n)))
 
 
+def _decode_rows(model: SynthesisModel, hidden: Tensor, frames_by_row: dict) -> list:
+    """One decoder pass over the chosen batch rows; returns each row's mel, unpadded."""
+    frames = np.zeros((len(frames_by_row), hidden.shape[1]), dtype=int)
+    for i, row_frames in enumerate(frames_by_row.values()):
+        frames[i, :len(row_frames)] = row_frames
+    with no_grad():
+        mels = model.decode(Tensor(hidden.data[list(frames_by_row)]), frames)[-1].data
+    return [mel[:total] for mel, total in zip(mels, frames.sum(axis=1))]
+
+
 def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
              batch_size: int = 16, dump_dir=None) -> dict:
     """Corpus-level metrics.
 
     teacher mode: ground-truth durations and posterior-mean latents isolate
     spectrogram quality.  free mode: the duration gate decides frame counts,
-    and spectrogram L1 is compared on length-matched crops.
+    and spectrogram L1 is compared on length-matched crops.  Utterances whose
+    every token is gated to zero are counted as degenerate and not decoded.
     """
     if mode not in ("teacher", "free"):
         raise ValueError(f"mode must be teacher or free, got {mode!r}")
@@ -445,7 +421,6 @@ def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
     n_tokens = 0
     length_err = 0.0
     degenerate = 0
-    utt_index = 0
     for idx in _chunks(len(utterances), batch_size):
         batch = make_batch(utterances, idx)
         if mode == "teacher":
@@ -455,19 +430,21 @@ def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
             abs_err += float((np.abs(pred - batch.mel) * mask).sum())
             n_cells += float(mask.sum()) * batch.mel.shape[2]
             dur = out.duration_pred
+            if dump_dir is not None:
+                for row, utt_i in enumerate(idx):
+                    write_mel(dump_dir / f"utt_{utt_i:04d}.mel",
+                              pred[row][batch.frame_mask[row] > 0])
         else:
-            dur = model.predict_durations_free(batch)
+            dur = model.predict_durations_free(batch.tokens, batch.speakers, batch.token_mask)
         p_z = dur.p_z.data
         seconds = dur.seconds.data
         valid = batch.token_mask > 0
         gate_hits += int((((p_z > 0.5) == (batch.frames > 0)) & valid).sum())
         n_tokens += int(valid.sum())
+        decided = {}    # batch row -> frames, for rows that are not degenerate
         for row, utt_i in enumerate(idx):
             utt = utterances[utt_i]
             n = len(utt.tokens)
-            if mode == "teacher" and dump_dir is not None:
-                pred_row = out.predictions[-1].data[row][batch.frame_mask[row] > 0]
-                write_mel(dump_dir / f"utt_{utt_index:04d}.mel", pred_row)
             try:
                 frames = duration.finalize_durations(p_z[row:row + 1, :n], seconds[row:row + 1, :n],
                                                      model.cfg.frame_rate)
@@ -475,18 +452,18 @@ def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
                 degenerate += 1
                 frame_err += float(np.abs(utt.durations).sum())
                 length_err += float(utt.durations.sum())
-                utt_index += 1
                 continue
             frame_err += float(np.abs(frames[0] - utt.durations).sum())
-            if mode == "free":
-                mel, _ = model.synthesize(utt.tokens, utt.speaker)
+            decided[row] = frames[0]
+        if mode == "free" and decided:
+            for row, mel in zip(decided, _decode_rows(model, dur.hidden, decided)):
+                utt = utterances[idx[row]]
                 t = min(mel.shape[0], utt.mel.shape[0])
                 abs_err += float(np.abs(mel[:t] - utt.mel[:t]).sum())
                 n_cells += t * utt.mel.shape[1]
                 length_err += abs(mel.shape[0] - utt.mel.shape[0])
                 if dump_dir is not None:
-                    write_mel(dump_dir / f"utt_{utt_index:04d}.mel", mel)
-            utt_index += 1
+                    write_mel(dump_dir / f"utt_{idx[row]:04d}.mel", mel)
     return {
         "spec_l1": abs_err / max(n_cells, 1.0),
         "gate_accuracy": gate_hits / max(n_tokens, 1),

@@ -70,6 +70,23 @@ def test_gen_bad_spec_key_is_config_error(tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("text, named", [
+    ("num_speakers = 0\nmel_bins = 0\nframe_rate = 0\nzero_duration_prob = 1.5\n",
+     ["num_speakers", "mel_bins", "frame_rate", "zero_duration_prob"]),
+    ("min_tokens = 0\n", ["min_tokens"]),
+    ("min_tokens = 9\nmax_tokens = 4\n", ["min_tokens (9)", "max_tokens (4)"]),
+], ids=["counts-and-rates", "min-tokens-zero", "min-above-max"])
+def test_gen_spec_problems_listed_all_at_once(tmp_path, capsys, text, named):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["gen", "--spec", str(spec), "--count", "2", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(name in err for name in named)
+    assert not out.exists()
+
+
 def test_train_synth_round_trip(tmp_path, corpus_dir):
     cfg = write_tiny_train_config(tmp_path / "run.cfg")
     run = tmp_path / "run"
@@ -141,6 +158,28 @@ def test_train_config_problems_listed_all_at_once(tmp_path, corpus_dir, capsys):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert "bogus" in err and "total_steps" in err
+
+
+def test_train_model_shape_problems_listed_before_writing(tmp_path, corpus_dir, capsys):
+    # d_cond = 8 + 4 + 4 = 16 is divisible by neither 7 nor 3
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", dur_heads=7, dec_heads=3)
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg), "--corpus", str(corpus_dir), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "dur_heads (7)" in err and "heads (3)" in err
+    assert not out.exists()
+
+
+def test_train_resume_from_model_checkpoint_is_runtime_error(tmp_path, corpus_dir, capsys):
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=2)
+    run = tmp_path / "run"
+    args = ["train", "--config", str(cfg), "--corpus", str(corpus_dir), "--variant", "novae"]
+    assert main(args + ["--out", str(run)]) == EXIT_OK
+    rc = main(args + ["--out", str(tmp_path / "again"), "--resume", str(run / "model.ckpt")])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert str(run / "model.ckpt") in err and "meta/step" in err
 
 
 def test_train_resume_reproduces_trajectory(tmp_path, corpus_dir):

@@ -80,27 +80,18 @@ def test_mel_unknown_version(tmp_path):
     assert "version 9" in str(exc.value)
 
 
-def test_duration_records_binary_and_text(tmp_path):
-    records = [
-        (np.array([3, 1, 4]), np.array([5, 0, 2])),
-        (np.array([2]), np.array([7])),
-    ]
-    bpath = tmp_path / "dur.bin"
-    ff.write_durations(bpath, records)
-    back = ff.read_durations(bpath)
-    for (ia, fa), (ib, fb) in zip(records, back):
-        assert np.array_equal(ia, ib) and np.array_equal(fa, fb)
-
-    tpath = tmp_path / "dur.txt"
-    ff.write_durations_text(tpath, records)
-    assert tpath.read_text().splitlines()[0] == "3 3:5 1:0 4:2"
-    tback = ff.read_durations_text(tpath)
-    for (ia, fa), (ib, fb) in zip(records, tback):
-        assert np.array_equal(ia, ib) and np.array_equal(fa, fb)
+def ckpt_record(name: bytes, extents) -> bytes:
+    return (len(name).to_bytes(4, "little") + name + bytes([len(extents)])
+            + b"".join(e.to_bytes(4, "little") for e in extents))
 
 
-def test_duration_text_bad_count_rejected(tmp_path):
-    path = tmp_path / "dur.txt"
-    path.write_text("2 3:5\n")
-    with pytest.raises(FormatError):
-        ff.read_durations_text(path)
+@pytest.mark.parametrize("record", [
+    ckpt_record(b"\xff\xfe", (1,)) + bytes(8),
+    ckpt_record(b"w", (65536,) * 4) + bytes(8),     # 2**64 values: wraps to 0 in int64
+], ids=["name-not-utf8", "extents-overflow"])
+def test_checkpoint_bad_record_is_format_error(tmp_path, record):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"PVOXCKPT" + bytes([1]) + record)
+    with pytest.raises(FormatError) as exc:
+        ff.read_arrays(path)
+    assert str(path) in str(exc.value)

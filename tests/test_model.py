@@ -44,7 +44,8 @@ def test_forward_shapes(tiny_spec, tiny_corpus, variant):
     model = build(tiny_spec, variant)
     batch = make_batch(tiny_corpus[:4])
     out = model.forward_train(batch, rng=np.random.default_rng(0), training=True)
-    assert len(out.spec_block_sums) == model.cfg.dec_blocks
+    assert len(out.predictions) == model.cfg.dec_blocks
+    assert out.spec_loss.shape == ()
     for pred in out.predictions:
         assert pred.shape == batch.mel.shape
     if variant == "novae":

@@ -1,12 +1,14 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import paravox.tensor as pt
-from paravox import training
-from paravox.errors import ConfigError, TrainingDiverged
-from paravox.model import ModelConfig, SynthesisModel, make_batch
+from paravox import duration, training
+from paravox.errors import ConfigError, DegenerateSynthesisError, TrainingDiverged
+from paravox.fileformats import read_mel
+from paravox.model import ModelConfig, ModelHyperparams, SynthesisModel, make_batch
 from paravox.tensor import Parameter, Tensor, backward
 from paravox.training import (LossTerms, NesterovMomentum, TrainConfig, TrainState,
                               beta_schedule, clip_global_norm, lr_multiplier,
@@ -112,17 +114,17 @@ def test_nesterov_skips_frozen_parameters():
 
 # -- total_loss assembly ---------------------------------------------------------------
 
-def make_terms(variant, k=4, t=10.0, n=5.0, seed=0):
+def make_terms(variant, n=5.0, seed=0):
     rng = np.random.default_rng(seed)
-    spec = [Tensor(abs(rng.normal()) * 3) for _ in range(3)]
+    spec = Tensor(abs(rng.normal()) * 3)
     kl = Tensor(np.abs(rng.normal(size=2))) if variant != "novae" else None
     prior = Tensor(abs(rng.normal())) if variant == "fine" else None
     return LossTerms(spec, Tensor(abs(rng.normal())), Tensor(abs(rng.normal())),
-                     kl, prior, lambda_dur=1.5, beta=0.7, n_frames=t, mel_bins=k, n_tokens=n)
+                     kl, prior, lambda_dur=1.5, beta=0.7, n_tokens=n)
 
 
 def scalar_total(variant, terms):
-    out = sum(float(s.data) for s in terms.spec_losses) / (terms.mel_bins * terms.n_frames)
+    out = float(terms.spec.data)
     out += terms.lambda_dur * (float(terms.dur_ce.data) + float(terms.dur_l1.data)) / terms.n_tokens
     if variant != "novae":
         out += terms.beta * float(terms.kl.data.mean())
@@ -140,8 +142,8 @@ def test_total_loss_matches_scalar_oracle(variant):
 
 
 def test_total_loss_zero_terms_give_zero():
-    terms = LossTerms([Tensor(0.0)], Tensor(0.0), Tensor(0.0), Tensor(np.zeros(2)),
-                      None, 1.0, 1.0, 10.0, 4, 5.0)
+    terms = LossTerms(Tensor(0.0), Tensor(0.0), Tensor(0.0), Tensor(np.zeros(2)),
+                      None, 1.0, 1.0, 5.0)
     assert float(total_loss("global", terms).data) == 0.0
 
 
@@ -149,12 +151,10 @@ def test_total_loss_linear_in_spec_terms():
     with pt.precision("high"):
         terms = make_terms("novae")
         base = float(total_loss("novae", terms).data)
-        doubled = LossTerms([s * 2.0 for s in terms.spec_losses], terms.dur_ce, terms.dur_l1,
-                            None, None, terms.lambda_dur, terms.beta, terms.n_frames,
-                            terms.mel_bins, terms.n_tokens)
+        doubled = LossTerms(terms.spec * 2.0, terms.dur_ce, terms.dur_l1,
+                            None, None, terms.lambda_dur, terms.beta, terms.n_tokens)
         got = float(total_loss("novae", doubled).data)
-        spec_part = sum(float(s.data) for s in terms.spec_losses) / (terms.mel_bins * terms.n_frames)
-        assert got == pytest.approx(base + spec_part, rel=1e-12)
+        assert got == pytest.approx(base + float(terms.spec.data), rel=1e-12)
 
 
 def test_total_loss_variant_mismatch_rejected():
@@ -169,9 +169,8 @@ def test_total_loss_variant_mismatch_rejected():
 def test_beta_zero_global_equals_novae_objective():
     terms_g = make_terms("global")
     terms_g.beta = 0.0
-    terms_n = LossTerms(terms_g.spec_losses, terms_g.dur_ce, terms_g.dur_l1, None, None,
-                        terms_g.lambda_dur, 0.0, terms_g.n_frames, terms_g.mel_bins,
-                        terms_g.n_tokens)
+    terms_n = LossTerms(terms_g.spec, terms_g.dur_ce, terms_g.dur_l1, None, None,
+                        terms_g.lambda_dur, 0.0, terms_g.n_tokens)
     assert float(total_loss("global", terms_g).data) == pytest.approx(
         float(total_loss("novae", terms_n).data), abs=1e-15)
 
@@ -212,6 +211,18 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.iterative_loss is False
 
 
+def test_model_config_carries_every_shared_field():
+    changed = {"variant": "fine", "decoder": "transformer"}
+    for f in fields(ModelHyperparams):
+        if f.name not in changed:
+            changed[f.name] = f.default + (1 if isinstance(f.default, int) else 0.25)
+    model_cfg = TrainConfig(**changed).model_config(30, 5, 16, 50.0)
+    for name, value in changed.items():
+        assert getattr(model_cfg, name) == value != getattr(ModelHyperparams(), name), name
+    assert (model_cfg.vocab_size, model_cfg.num_speakers, model_cfg.mel_bins,
+            model_cfg.frame_rate) == (30, 5, 16, 50.0)
+
+
 def test_config_overrides_count_as_provided():
     cfg = TrainConfig.from_mapping({}, overrides={"variant": "fine", "kl_beta_start": 5,
                                                   "kl_beta_end": 9})
@@ -230,10 +241,7 @@ def test_spec_loss_gradient_never_reaches_duration_heads(tiny_spec, tiny_corpus)
     batch = make_batch(tiny_corpus)
     out = model.forward_train(batch, rng=np.random.default_rng(0), training=False)
     model.zero_grad()
-    spec_total = out.spec_block_sums[0]
-    for s in out.spec_block_sums[1:]:
-        spec_total = spec_total + s
-    backward(spec_total)
+    backward(out.spec_loss)
     for name, p in model.duration_predictor.named_parameters("duration_predictor."):
         if "gate_proj" in name or "seconds_proj" in name:
             assert p.grad is None or np.all(p.grad == 0.0), f"spec loss leaked into {name}"
@@ -261,16 +269,6 @@ def test_padding_leaves_total_loss_unchanged(tiny_spec, tiny_corpus):
     out2 = model.forward_train(padded, rng=None, training=False, sample=False)
     loss2 = float(total_loss("global", LossTerms.from_outputs(out2, 1.0, 1.0)).data)
     assert loss2 == pytest.approx(loss, rel=1e-5)
-
-
-def test_spec_sum_identity_with_iterative_loss_op(tiny_spec, tiny_corpus):
-    from paravox.decoder import iterative_spec_loss
-    model = build_tiny_model(tiny_spec, "novae")
-    batch = make_batch(tiny_corpus[:4])
-    out = model.forward_train(batch, rng=None, training=False, sample=False)
-    assembled = sum(float(s.data) for s in out.spec_block_sums) / (out.mel_bins * out.n_frames)
-    direct = float(iterative_spec_loss(out.predictions, batch.mel, batch.frame_mask).data)
-    assert assembled == pytest.approx(direct, rel=1e-6)
 
 
 def test_train_step_decreases_loss_on_tiny_problem(tiny_spec, tiny_corpus):
@@ -335,3 +333,46 @@ def test_evaluate_untrained_gate_accuracy_far_from_perfect(tiny_spec, tiny_corpu
     metrics = evaluate(model, tiny_corpus, mode="teacher")
     assert 0.05 <= metrics["gate_accuracy"] <= 0.95
     assert metrics["frame_mae"] > 0.5
+
+
+@pytest.mark.parametrize("variant", ["novae", "global", "fine"])
+def test_free_evaluate_decodes_each_row_as_synthesize_does(tiny_spec, tiny_corpus, tmp_path,
+                                                            monkeypatch, variant):
+    # one batch of unequal lengths whose second row is forced degenerate
+    model = build_tiny_model(tiny_spec, variant)
+    model.duration_predictor.gate_proj.bias.data[:] = 8.0
+    utts = tiny_corpus[:4]
+    assert len({len(u.tokens) for u in utts}) > 1
+    finalize = duration.finalize_durations
+    calls = []
+
+    def second_row_degenerate(p_z, seconds, frame_rate):
+        calls.append(p_z.shape)
+        if len(calls) == 2:
+            raise DegenerateSynthesisError("forced")
+        return finalize(p_z, seconds, frame_rate)
+
+    monkeypatch.setattr(duration, "finalize_durations", second_row_degenerate)
+    metrics = training.evaluate(model, utts, mode="free", batch_size=4, dump_dir=tmp_path)
+    monkeypatch.undo()
+    assert len(calls) == 4
+    assert metrics["degenerate"] == 1
+    assert not (tmp_path / "utt_0001.mel").exists()
+
+    batch = make_batch(utts)
+    dur = model.predict_durations_free(batch.tokens, batch.speakers, batch.token_mask)
+    total, cells = 0.0, 0
+    for i in (0, 2, 3):
+        utt = utts[i]
+        mel, frames = model.synthesize(utt.tokens, utt.speaker)
+        n = len(utt.tokens)
+        batched = finalize(dur.p_z.data[i:i + 1, :n], dur.seconds.data[i:i + 1, :n],
+                           tiny_spec.frame_rate)[0]
+        assert np.array_equal(batched, frames)
+        dumped = read_mel(tmp_path / f"utt_{i:04d}.mel")
+        assert dumped.shape == mel.shape
+        np.testing.assert_allclose(dumped, mel, rtol=1e-5, atol=1e-5)
+        t = min(len(mel), len(utt.mel))
+        total += np.abs(dumped[:t] - utt.mel[:t]).sum()
+        cells += t * utt.mel.shape[1]
+    assert metrics["spec_l1"] == pytest.approx(total / cells, rel=1e-6)
