@@ -27,8 +27,9 @@ def _weighted(out: Tensor, seed: int) -> Tensor:
 
 def check_tensor_ops() -> GradCheckReport:
     """Element-wise ops and every fused op: softmax, layer_norm, a lightweight
-    conv (odd width, one masked row) and a strided conv1d.  The convs' input
-    gradients are checked through ``w``, which feeds them."""
+    conv (odd width, one masked row), a strided conv1d and an lstm (B=2, N=4).
+    The convs' input gradients are checked through ``w``, which feeds them; the
+    lstm's input is a parameter of its own."""
     rng = np.random.default_rng(0)
     w = pt.Parameter(rng.normal(size=(6, 6)), "w")
     gain = pt.Parameter(np.ones(6), "gain")
@@ -36,6 +37,10 @@ def check_tensor_ops() -> GradCheckReport:
     taps = pt.Parameter(rng.normal(size=(2, 3)), "lconv_taps")
     conv_w = pt.Parameter(rng.normal(size=(3, 6, 4)) * 0.5, "conv1d_weight")
     conv_b = pt.Parameter(rng.normal(size=4), "conv1d_bias")
+    lstm_x = pt.Parameter(rng.normal(size=(2, 4, 3)), "lstm_input")
+    lstm_wx = pt.Parameter(rng.normal(size=(3, 12)) * 0.5, "lstm_w_x")
+    lstm_wh = pt.Parameter(rng.normal(size=(3, 12)) * 0.5, "lstm_w_h")
+    lstm_b = pt.Parameter(rng.normal(size=12), "lstm_b")
     x = Tensor(rng.normal(size=(2, 5, 6)))
     mix = Tensor(rng.normal(size=(2, 5, 6)))
     mask = np.array([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]], dtype=float)
@@ -46,9 +51,10 @@ def check_tensor_ops() -> GradCheckReport:
         h = pt.softmax(h, axis=-1) + pt.sigmoid(h) + pt.softplus(h) + pt.tanh(h)
         c = pt.lightweight_conv(blocks.apply_mask(h, mask), pt.softmax(taps, axis=1))
         s = pt.conv1d(blocks.apply_mask(c, mask), conv_w, conv_b, stride=2)
-        return (h * mix).sum() + _weighted(s, 31)
+        r = pt.lstm(lstm_x, lstm_wx, lstm_wh, lstm_b)
+        return (h * mix).sum() + _weighted(s, 31) + _weighted(r, 37)
 
-    return grad_check(f, [w, gain, bias, taps, conv_w, conv_b])
+    return grad_check(f, [w, gain, bias, taps, conv_w, conv_b, lstm_x, lstm_wx, lstm_wh, lstm_b])
 
 
 def check_blocks() -> GradCheckReport:

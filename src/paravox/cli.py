@@ -192,8 +192,14 @@ def _model_from_run_dir(ckpt_path: str) -> tuple[SynthesisModel, list[str], Trai
         raise FormatError(
             f"inventory lists {len(vocabulary)} symbols but dataset.txt says "
             f"{model_cfg.vocab_size}")
+    problems = model_cfg.validate()
+    if problems:
+        raise ConfigError([f"{config_path}: {p}" for p in problems])
     model = SynthesisModel.build(model_cfg, cfg.seed)
-    model.load_state_arrays(read_arrays(ckpt))
+    try:
+        model.load_state_arrays(read_arrays(ckpt))
+    except FormatError as exc:
+        raise FormatError(f"{ckpt}: {exc}") from exc
     return model, vocabulary, cfg
 
 

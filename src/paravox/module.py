@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import FormatError
 from .tensor import Parameter, Tensor, active_dtype, matmul
 
 
@@ -40,22 +41,21 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every parameter's values; FormatError when ``arrays`` holds
+        another parameter set or another shape."""
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(arrays))
         extra = sorted(set(arrays) - set(own))
         if missing or extra:
-            raise KeyError(f"state mismatch; missing={missing} unexpected={extra}")
+            raise FormatError(f"state mismatch; missing={missing} unexpected={extra}")
         for name, p in own.items():
             arr = np.asarray(arrays[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: file {arr.shape} vs model {p.data.shape}")
+                raise FormatError(f"shape mismatch for {name}: file {arr.shape} vs model {p.data.shape}")
             p.data = arr.copy()
 
 
@@ -114,6 +114,3 @@ class RandomSource:
 
     def for_step(self, step: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, 0x57E9, int(step)))
-
-    def for_purpose(self, tag: int) -> np.random.Generator:
-        return np.random.default_rng((self.seed, int(tag)))

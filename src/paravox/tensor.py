@@ -9,8 +9,9 @@ held).  Only leaves (Parameters and input tensors) keep ``.grad``, and a swept
 graph cannot be swept again.
 
 The hot network ops are fused: ``softmax``, ``layer_norm``, ``conv1d`` (im2col
-and one matmul) and ``lightweight_conv`` (a sliding window and one contraction)
-are each a single graph node with a hand-written numpy backward.
+and one matmul), ``lightweight_conv`` (a sliding window and one contraction)
+and ``lstm`` (one input GEMM over all steps, then the recurrence in numpy) are
+each a single graph node with a hand-written numpy backward.
 
 Two run-level precisions exist: "standard" (float32) for training and "high"
 (float64) for finite-difference gradient checks.  The precision is a global
@@ -19,11 +20,11 @@ switch; it applies to tensors created after the switch.
 Multiply-add counting: each forward op adds its cost to a global counter so
 callers can compare decoder variants by exact operation counts instead of
 wall clock.  Contractions count their multiply-adds: ``matmul`` m*k*n per
-batch entry, ``conv1d`` k*d_in*d_out per output frame, and
-``lightweight_conv`` k per output element.  Element-wise ops, ``softmax``,
-``layer_norm`` and ``gather_rows`` count one per output element, ``sum_`` one
-per input element, and shape ops (reshape, transpose, concat, slicing,
-padding, expand) nothing.
+batch entry, ``conv1d`` k*d_in*d_out per output frame, ``lightweight_conv`` k
+per output element, and ``lstm`` B*N*4H*(d_in+H) for its input and recurrent
+projections.  Element-wise ops, ``softmax``, ``layer_norm`` and
+``gather_rows`` count one per output element, ``sum_`` one per input element,
+and shape ops (reshape, transpose, concat, slicing, padding, expand) nothing.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class no_grad:
     def __exit__(self, *exc):
         _state["grad"] = self.saved
         return False
-
-
-def grad_enabled() -> bool:
-    return _state["grad"]
 
 
 def reset_madds() -> None:
@@ -132,9 +129,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def item(self) -> float:
-        return float(self.data)
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -337,10 +331,15 @@ def relu(a) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|z|."""
+    s = 1.0 / (1.0 + np.exp(-np.abs(z)))
+    return np.where(z >= 0, s, 1.0 - s)
+
+
 def sigmoid(a) -> Tensor:
     a = _lift(a)
-    out_data = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    out_data = np.where(a.data >= 0, out_data, 1.0 - out_data)
+    out_data = _sigmoid(a.data)
 
     def bw(g):
         a._accum(g * out_data * (1.0 - out_data))
@@ -354,9 +353,7 @@ def softplus(a) -> Tensor:
     out_data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
 
     def bw(g):
-        s = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-        s = np.where(a.data >= 0, s, 1.0 - s)
-        a._accum(g * s)
+        a._accum(g * _sigmoid(a.data))
 
     return _make(out_data, (a,), bw)
 
@@ -629,6 +626,70 @@ def conv1d(x, weight, bias, stride: int = 1) -> Tensor:
         x._accum(g_padded[:, left:left + t])
 
     return _make(out_data, (x, weight, bias), bw, madds=cols.size * d_out)
+
+
+def lstm_cell(z: np.ndarray, c: np.ndarray):
+    """One LSTM step in numpy from the preactivations z [B, 4H] (gate blocks
+    input, forget, candidate, output) and the cell state c [B, H].
+
+    Returns (gates [B, 4H] after their nonlinearities, new c, new h).
+    """
+    n = c.shape[-1]
+    gates = _sigmoid(z)
+    gates[:, 2 * n:3 * n] = np.tanh(z[:, 2 * n:3 * n])
+    i, f, g, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n], gates[:, 3 * n:]
+    c = f * c + i * g
+    return gates, c, o * np.tanh(c)
+
+
+def lstm(x, w_x, w_h, b) -> Tensor:
+    """Single-layer LSTM over [B, N, d_in] from zero state; returns every step's
+    hidden state [B, N, H].
+
+    ``w_x`` [d_in, 4H], ``w_h`` [H, 4H] and ``b`` [4H] hold the gate blocks in
+    ``lstm_cell`` order.  The forward projects all steps' inputs with one GEMM
+    and runs the recurrence in numpy; the backward is backpropagation through
+    time for the per-step preactivation gradients, then one GEMM each for the
+    x, w_x and w_h gradients over all steps.
+    """
+    x, w_x, w_h, b = _lift(x), _lift(w_x), _lift(w_h), _lift(b)
+    bsz, steps, d_in = x.shape
+    hidden = w_h.shape[0]
+    if w_x.shape != (d_in, 4 * hidden) or w_h.shape != (hidden, 4 * hidden) or b.shape != (4 * hidden,):
+        raise ShapeError(f"lstm weights {w_x.shape}, {w_h.shape}, {b.shape} do not fit input "
+                         f"{x.shape}: expected ({d_in}, 4H), (H, 4H), (4H,)")
+    x_rows = x.data.transpose(1, 0, 2).reshape(steps * bsz, d_in)  # time-major rows
+    xz = (x_rows @ w_x.data + b.data).reshape(steps, bsz, 4 * hidden)
+    gates = np.empty_like(xz)
+    cs = np.zeros((steps + 1, bsz, hidden), dtype=xz.dtype)  # cs[t + 1], hs[t + 1]: after step t
+    hs = np.zeros_like(cs)
+    for t in range(steps):
+        gates[t], cs[t + 1], hs[t + 1] = lstm_cell(xz[t] + hs[t] @ w_h.data, cs[t])
+    out_data = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+
+    def bw(g):
+        n = hidden
+        dz = np.empty_like(gates)  # preactivation gradients, time-major like gates
+        dh_next = np.zeros((bsz, n), dtype=gates.dtype)
+        dc_next = np.zeros_like(dh_next)
+        for t in reversed(range(steps)):
+            i, f, gg, o = (gates[t, :, k * n:(k + 1) * n] for k in range(4))
+            tanh_c = np.tanh(cs[t + 1])
+            dh = g[:, t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+            dz[t, :, :n] = dc * gg * i * (1.0 - i)
+            dz[t, :, n:2 * n] = dc * cs[t] * f * (1.0 - f)
+            dz[t, :, 2 * n:3 * n] = dc * i * (1.0 - gg * gg)
+            dz[t, :, 3 * n:] = dh * tanh_c * o * (1.0 - o)
+            dc_next = dc * f
+            dh_next = dz[t] @ w_h.data.T
+        dz_rows = dz.reshape(steps * bsz, 4 * n)
+        x._accum((dz_rows @ w_x.data.T).reshape(steps, bsz, d_in).transpose(1, 0, 2))
+        w_x._accum(x_rows.T @ dz_rows)
+        w_h._accum(hs[:-1].reshape(steps * bsz, n).T @ dz_rows)
+        b._accum(dz_rows.sum(axis=0))
+
+    return _make(out_data, (x, w_x, w_h, b), bw, madds=bsz * steps * 4 * hidden * (d_in + hidden))
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

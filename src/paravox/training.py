@@ -306,8 +306,9 @@ def save_state(state: TrainState, path) -> None:
 
 
 def load_state(state: TrainState, path) -> None:
-    """Restore the model, optimizer and step; FormatError names the file and the
-    first missing entry when ``path`` is not a training state of this model."""
+    """Restore the model, optimizer and step; FormatError names the file, and the
+    first missing entry or the mismatch, when ``path`` is not a training state
+    of this model."""
     arrays = read_arrays(path)
     needed = ["meta/step", *state.optimizer.state_arrays(), *state.model.state_arrays()]
     missing = [k for k in needed if k not in arrays]
@@ -318,7 +319,10 @@ def load_state(state: TrainState, path) -> None:
     step = int(arrays.pop("meta/step"))
     velocities = {k: v for k, v in arrays.items() if k.startswith("velocity/")}
     params = {k: v for k, v in arrays.items() if not k.startswith("velocity/")}
-    state.model.load_state_arrays(params)
+    try:
+        state.model.load_state_arrays(params)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     state.optimizer.load_state_arrays(velocities)
     state.step = step
 

@@ -161,10 +161,14 @@ class FinePosterior(Module):
 class FinePriorLSTM(Module):
     """Single-layer recurrent prior over per-phoneme latents, strictly causal.
 
-    Trained with teacher forcing to match posterior means under squared error;
-    the teacher sequence is detached so no gradient reaches the posterior.  At
-    inference it feeds back its own predictions and the predicted means are
-    used directly as latents.
+    Each token's input is the speaker embedding, the token's encoder output and
+    the previous token's latent (zero before the first token).  Training is
+    teacher forced: the previous latents are the detached posterior means, so
+    every input is known in advance and the whole sequence runs as one fused
+    ``pt.lstm`` node, matched to the posterior means under squared error; no
+    gradient reaches the posterior.  At inference ``rollout`` feeds back its
+    own predictions in a plain numpy loop (no graph), and the predicted means
+    are used directly as latents.
     """
 
     def __init__(self, d_model: int, speaker_dim: int, latent_dim: int, hidden: int,
@@ -177,44 +181,50 @@ class FinePriorLSTM(Module):
         self.hidden = hidden
         self.latent_dim = latent_dim
 
-    def _cell(self, x: Tensor, h: Tensor, c: Tensor):
-        z = pt.matmul(x, self.w_x) + pt.matmul(h, self.w_h) + self.b
-        n = self.hidden
-        i = pt.sigmoid(z[:, 0 * n:1 * n])
-        f = pt.sigmoid(z[:, 1 * n:2 * n])
-        g = pt.tanh(z[:, 2 * n:3 * n])
-        o = pt.sigmoid(z[:, 3 * n:4 * n])
-        c = f * c + i * g
-        h = o * pt.tanh(c)
-        return h, c
-
-    def _roll(self, enc_phonemes: Tensor, speaker_emb: Tensor, next_input):
-        b, n_tokens, _ = enc_phonemes.shape
-        h = Tensor(np.zeros((b, self.hidden)))
-        c = Tensor(np.zeros((b, self.hidden)))
-        prev = Tensor(np.zeros((b, self.latent_dim)))
-        outputs = []
-        for n in range(n_tokens):
-            x = pt.concat([speaker_emb, enc_phonemes[:, n, :], prev], axis=1)
-            h, c = self._cell(x, h, c)
-            pred = self.out_proj(h)
-            outputs.append(pt.reshape(pred, (b, 1, self.latent_dim)))
-            prev = next_input(n, pred)
-        return pt.concat(outputs, axis=1)
-
     def teacher_forced(self, enc, speaker_emb: Tensor, teacher_means: Tensor):
         """Returns (predicted means [B,N,L], summed squared-error loss over valid tokens)."""
         if teacher_means is None:
             raise ValueError("training the learned prior requires teacher latents (posterior means)")
         teacher = pt.stop_gradient(teacher_means)
-        preds = self._roll(enc.phonemes, speaker_emb, lambda n, _pred: teacher[:, n, :])
+        b, n_tokens, _ = enc.phonemes.shape
+        spk = pt.expand(pt.reshape(speaker_emb, (b, 1, speaker_emb.shape[-1])),
+                        (b, n_tokens, speaker_emb.shape[-1]))
+        prev = Tensor(np.pad(teacher.data[:, :-1], ((0, 0), (1, 0), (0, 0))))
+        hidden = pt.lstm(pt.concat([spk, enc.phonemes, prev], axis=2), self.w_x, self.w_h, self.b)
+        preds = self.out_proj(hidden)
         err = preds - teacher
         masked = (err * err).sum(axis=-1) * Tensor(enc.token_mask)
         return preds, masked.sum()
 
     def rollout(self, enc, speaker_emb: Tensor) -> Tensor:
-        """Deterministic inference rollout feeding back its own predictions."""
-        return self._roll(enc.phonemes, speaker_emb, lambda n, pred: pred)
+        """Deterministic inference rollout feeding back its own predictions.
+
+        Builds no graph: the speaker and phoneme parts of every step's input
+        are projected with one GEMM up front, and each step adds only the
+        previous prediction's and hidden state's projections.
+        """
+        phonemes = enc.phonemes.data
+        b, n_tokens, _ = phonemes.shape
+        spk = np.broadcast_to(speaker_emb.data[:, None, :], (b, n_tokens, speaker_emb.shape[-1]))
+        ctx = np.concatenate([spk, phonemes], axis=2).transpose(1, 0, 2)  # time-major
+        n_ctx = ctx.shape[-1]
+        w_x, w_h = self.w_x.data, self.w_h.data
+        xz = ctx.reshape(-1, n_ctx) @ w_x[:n_ctx] + self.b.data
+        xz = xz.reshape(n_tokens, b, 4 * self.hidden)
+        w_prev = w_x[n_ctx:]
+        out_w, out_b = self.out_proj.weight.data, self.out_proj.bias.data
+        h = np.zeros((b, self.hidden), dtype=xz.dtype)
+        c = np.zeros_like(h)
+        pred = np.zeros((b, self.latent_dim), dtype=xz.dtype)
+        preds = np.empty((b, n_tokens, self.latent_dim), dtype=xz.dtype)
+        for n in range(n_tokens):
+            _, c, h = pt.lstm_cell(xz[n] + pred @ w_prev + h @ w_h, c)
+            pred = h @ out_w + out_b
+            preds[:, n] = pred
+        # the contractions pt.lstm and out_proj would count for the same sequence
+        pt._count(b * n_tokens * (4 * self.hidden * (w_x.shape[0] + self.hidden)
+                                  + self.hidden * self.latent_dim))
+        return Tensor(preds)
 
 
 class LatentProjector(Module):

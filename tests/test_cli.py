@@ -182,6 +182,48 @@ def test_train_resume_from_model_checkpoint_is_runtime_error(tmp_path, corpus_di
     assert str(run / "model.ckpt") in err and "meta/step" in err
 
 
+def test_checkpoint_of_another_variant_is_runtime_error(tmp_path, corpus_dir, capsys):
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=2)
+    args = ["train", "--config", str(cfg), "--corpus", str(corpus_dir)]
+    novae, glob = tmp_path / "novae", tmp_path / "global"
+    assert main(args + ["--variant", "novae", "--out", str(novae)]) == EXIT_OK
+    assert main(args + ["--variant", "global", "--out", str(glob)]) == EXIT_OK
+    capsys.readouterr()
+
+    rc = main(args + ["--variant", "novae", "--out", str(tmp_path / "again"),
+                      "--resume", str(glob / "state.ckpt")])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert str(glob / "state.ckpt") in err and "unexpected" in err
+
+    (novae / "model.ckpt").write_bytes((glob / "model.ckpt").read_bytes())
+    rc = main(["synth", "--ckpt", str(novae / "model.ckpt"), "--text", "aa b",
+               "--speaker", "0", "--out", str(tmp_path / "x.mel")])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert str(novae / "model.ckpt") in err and "unexpected" in err
+    assert not (tmp_path / "x.mel").exists()
+
+
+def test_synth_validates_run_config(tmp_path, corpus_dir, capsys):
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=2)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--corpus", str(corpus_dir),
+                 "--variant", "novae", "--out", str(run)]) == EXIT_OK
+    config = run / "config.txt"
+    lines = config.read_text().splitlines()
+    edits = {"dur_heads": "7", "dec_heads": "3"}
+    config.write_text("\n".join(
+        f"{key} = {edits[key]}" if (key := line.split(" = ")[0]) in edits else line
+        for line in lines) + "\n")
+    capsys.readouterr()
+    rc = main(["synth", "--ckpt", str(run / "model.ckpt"), "--text", "aa b",
+               "--speaker", "0", "--out", str(tmp_path / "x.mel")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "dur_heads (7)" in err and "heads (3)" in err and str(config) in err
+
+
 def test_train_resume_reproduces_trajectory(tmp_path, corpus_dir):
     cfg_full = write_tiny_train_config(tmp_path / "full.cfg", total_steps=12)
     run_a = tmp_path / "run_a"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import paravox.tensor as pt
-from paravox.errors import ShapeError, VocabularyError
+from paravox.errors import FormatError, ShapeError, VocabularyError
 from paravox.fileformats import read_arrays, write_arrays
 from paravox.model import ModelConfig, SynthesisModel, make_batch
 from paravox.training import (NesterovMomentum, TrainState, load_state, save_state,
@@ -135,7 +135,16 @@ def test_checkpoint_name_mismatch_rejected(tiny_spec, tmp_path):
     model = build(tiny_spec, "novae")
     arrays = model.state_arrays()
     arrays.pop(next(iter(arrays)))
-    with pytest.raises(KeyError):
+    with pytest.raises(FormatError):
+        model.load_state_arrays(arrays)
+
+
+def test_checkpoint_shape_mismatch_rejected(tiny_spec):
+    model = build(tiny_spec, "novae")
+    arrays = dict(model.state_arrays())
+    name = next(iter(arrays))
+    arrays[name] = np.zeros(arrays[name].shape + (2,))
+    with pytest.raises(FormatError, match=name):
         model.load_state_arrays(arrays)
 
 

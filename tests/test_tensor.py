@@ -450,3 +450,50 @@ def test_layer_norm_matches_reference():
     gain = rng.normal(size=5)
     bias = rng.normal(size=5)
     check_fused(pt.layer_norm, reference_layer_norm, [x, gain, bias], seed=3)
+
+
+def reference_lstm(x, w_x, w_h, b):
+    """Per-step LSTM cell from primitive Tensor ops: concat of the step outputs."""
+    bsz, steps, _ = x.shape
+    n = w_h.shape[0]
+    h = Tensor(np.zeros((bsz, n)))
+    c = Tensor(np.zeros((bsz, n)))
+    outputs = []
+    for t in range(steps):
+        z = pt.matmul(x[:, t, :], w_x) + pt.matmul(h, w_h) + b
+        i, f = pt.sigmoid(z[:, :n]), pt.sigmoid(z[:, n:2 * n])
+        g, o = pt.tanh(z[:, 2 * n:3 * n]), pt.sigmoid(z[:, 3 * n:])
+        c = f * c + i * g
+        h = o * pt.tanh(c)
+        outputs.append(pt.reshape(h, (bsz, 1, n)))
+    return pt.concat(outputs, axis=1)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_lstm_matches_per_step_cell(steps):
+    rng = np.random.default_rng(steps)
+    d_in, n = 3, 4
+    arrays = [rng.normal(size=(2, steps, d_in)), rng.normal(size=(d_in, 4 * n)),
+              rng.normal(size=(n, 4 * n)) * 0.5, rng.normal(size=4 * n)]
+    weights = Tensor(rng.normal(size=(2, steps, n)))
+    grads = []
+    for op in (pt.lstm, reference_lstm):
+        params = [Parameter(a.copy()) for a in arrays]
+        out = op(*params)
+        backward((out * weights).sum())
+        grads.append((out.data, [p.grad for p in params]))
+    (fused, fused_grads), (expected, expected_grads) = grads
+    assert fused.shape == (2, steps, n)
+    assert np.allclose(fused, expected, rtol=1e-12, atol=0)
+    for got, want in zip(fused_grads, expected_grads):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+    pt.reset_madds()
+    with pt.no_grad():
+        pt.lstm(*[Tensor(a) for a in arrays])
+    assert pt.madds() == 2 * steps * 4 * n * (d_in + n)
+
+
+def test_lstm_rejects_mismatched_weights():
+    with pytest.raises(ShapeError):
+        pt.lstm(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 12))),
+                Tensor(np.zeros(12)))

@@ -260,6 +260,16 @@ def test_prior_rollout_deterministic():
     assert np.array_equal(r1.data, r2.data)
 
 
+def test_prior_teacher_forced_on_own_rollout_reproduces_it():
+    prior = make_prior()
+    enc = make_enc(2, 5, 8, seed=7)
+    spk_emb = Tensor(np.random.default_rng(8).normal(size=(2, 4)))
+    rolled = prior.rollout(enc, spk_emb)
+    preds, _ = prior.teacher_forced(enc, spk_emb, rolled)
+    assert preds.shape == (2, 5, 4)
+    assert np.allclose(preds.data, rolled.data, rtol=1e-12, atol=1e-15)
+
+
 def test_prior_missing_teacher_rejected():
     prior = make_prior()
     enc = make_enc(1, 2, 8)
