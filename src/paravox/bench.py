@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tensor as pt
 from .decoder import DecoderConfig, SpectrogramDecoder
-from .tensor import Tensor
 
 BENCH_KINDS = ("lconv", "transformer", "ar-sim")
 
@@ -44,8 +43,7 @@ def receptive_field(cfg: DecoderConfig) -> int:
 
 def parallel_pass(dec: SpectrogramDecoder, frames: int, seed: int = 0):
     """One full-sequence forward; returns (seconds, madds)."""
-    x = Tensor(np.random.default_rng(seed).normal(size=(1, frames, dec.cfg.d_model))
-               .astype(pt.active_dtype()))
+    x = pt.constant(np.random.default_rng(seed).normal(size=(1, frames, dec.cfg.d_model)))
     pt.reset_madds()
     start = time.perf_counter()
     with pt.no_grad():
@@ -63,7 +61,7 @@ def ar_sim_pass(dec: SpectrogramDecoder, frames: int, seed: int = 0):
     with pt.no_grad():
         for t in range(frames):
             lo = max(0, t - window + 1)
-            step_in = Tensor(data[:, lo:t + 1, :])
+            step_in = pt.constant(data[:, lo:t + 1, :])
             dec(step_in)[-1]
     return time.perf_counter() - start, pt.madds()
 

@@ -21,7 +21,7 @@ from .tensor import Parameter, Tensor, conv1d
 def apply_mask(x: Tensor, mask) -> Tensor:
     if mask is None:
         return x
-    return x * Tensor(np.asarray(mask, dtype=pt.active_dtype())[:, :, None])
+    return x * np.asarray(mask)[:, :, None]
 
 
 def sinusoidal_embedding(positions, dim: int) -> Tensor:
@@ -32,13 +32,14 @@ def sinusoidal_embedding(positions, dim: int) -> Tensor:
     if dim % 2 != 0:
         raise ShapeError(f"sinusoidal embedding dim must be even, got {dim}")
     pos = np.asarray(positions, dtype=np.float64)
+    distinct, inverse = np.unique(pos, return_inverse=True)  # frame positions repeat
     i = np.arange(dim // 2, dtype=np.float64)
     rates = 10000.0 ** (2.0 * i / dim)
-    angles = pos[..., None] / rates
-    out = np.empty(pos.shape + (dim,), dtype=pt.active_dtype())
-    out[..., 0::2] = np.sin(angles)
-    out[..., 1::2] = np.cos(angles)
-    return Tensor(out)
+    angles = distinct[:, None] / rates
+    table = np.empty((distinct.size, dim), dtype=pt.active_dtype())
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)
+    return pt.constant(table[inverse.reshape(-1)].reshape(pos.shape + (dim,)))
 
 
 class LayerNorm(Module):
@@ -131,7 +132,7 @@ class MultiHeadSelfAttention(Module):
         scores = pt.matmul(q, pt.transpose(k, (0, 1, 3, 2))) * (dh ** -0.5)
         if mask is not None:
             neg = (np.asarray(mask, dtype=pt.active_dtype()) - 1.0) * 1e9
-            scores = scores + Tensor(neg[:, None, None, :])
+            scores = scores + neg[:, None, None, :]
         weights = pt.softmax(scores, axis=-1)
         ctx = pt.matmul(weights, v)
         merged = pt.reshape(pt.transpose(ctx, (0, 2, 1, 3)), (b, t, d))

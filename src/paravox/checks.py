@@ -27,9 +27,11 @@ def _weighted(out: Tensor, seed: int) -> Tensor:
 
 def check_tensor_ops() -> GradCheckReport:
     """Element-wise ops and every fused op: softmax, layer_norm, a lightweight
-    conv (odd width, one masked row), a strided conv1d and an lstm (B=2, N=4).
+    conv (odd width, one masked row), a strided conv1d, an lstm (B=2, N=4) and
+    bce_with_logits, plus a row gather with negative (zero-row) ids.
     The convs' input gradients are checked through ``w``, which feeds them; the
-    lstm's input is a parameter of its own."""
+    lstm's input, the bce logits and targets and the gather table are
+    parameters of their own."""
     rng = np.random.default_rng(0)
     w = pt.Parameter(rng.normal(size=(6, 6)), "w")
     gain = pt.Parameter(np.ones(6), "gain")
@@ -44,6 +46,11 @@ def check_tensor_ops() -> GradCheckReport:
     x = Tensor(rng.normal(size=(2, 5, 6)))
     mix = Tensor(rng.normal(size=(2, 5, 6)))
     mask = np.array([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]], dtype=float)
+    rng_extra = np.random.default_rng(38)
+    bce_logits = pt.Parameter(rng_extra.normal(size=(2, 5)) * 2.0, "bce_logits")
+    bce_targets = pt.Parameter(rng_extra.random((2, 5)), "bce_targets")
+    table = pt.Parameter(rng_extra.normal(size=(4, 3)), "gather_table")
+    ids = np.array([[0, 2, -1, 2], [3, -1, 1, 0]])
 
     def f():
         h = pt.matmul(x, w)
@@ -52,9 +59,13 @@ def check_tensor_ops() -> GradCheckReport:
         c = pt.lightweight_conv(blocks.apply_mask(h, mask), pt.softmax(taps, axis=1))
         s = pt.conv1d(blocks.apply_mask(c, mask), conv_w, conv_b, stride=2)
         r = pt.lstm(lstm_x, lstm_wx, lstm_wh, lstm_b)
-        return (h * mix).sum() + _weighted(s, 31) + _weighted(r, 37)
+        ce = pt.bce_with_logits(bce_logits, bce_targets)
+        rows = pt.gather_rows(table, ids)
+        return (h * mix).sum() + _weighted(s, 31) + _weighted(r, 37) + _weighted(ce, 39) \
+            + _weighted(rows, 40)
 
-    return grad_check(f, [w, gain, bias, taps, conv_w, conv_b, lstm_x, lstm_wx, lstm_wh, lstm_b])
+    return grad_check(f, [w, gain, bias, taps, conv_w, conv_b, lstm_x, lstm_wx, lstm_wh, lstm_b,
+                          bce_logits, bce_targets, table])
 
 
 def check_blocks() -> GradCheckReport:

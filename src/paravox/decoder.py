@@ -68,16 +68,16 @@ class SpectrogramDecoder(Module):
         return preds
 
 
-def _masked_l1(pred: Tensor, target: Tensor, frame_mask) -> Tensor:
+def _masked_l1(pred: Tensor, target, frame_mask) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
     diff = pt.abs_(pred - target)
     if frame_mask is not None:
-        diff = diff * Tensor(np.asarray(frame_mask, dtype=pt.active_dtype())[:, :, None])
+        diff = diff * np.asarray(frame_mask)[:, :, None]
     return diff.sum()
 
 
-def _normalizer(target: Tensor, frame_mask) -> float:
+def _normalizer(target, frame_mask) -> float:
     bins = target.shape[-1]
     if frame_mask is None:
         frames = target.shape[0] * target.shape[1]
@@ -88,7 +88,6 @@ def _normalizer(target: Tensor, frame_mask) -> float:
 
 def iterative_spec_loss(preds: list[Tensor], target, frame_mask=None) -> Tensor:
     """Sum of per-block L1 terms over valid frames, normalized by bins x frames."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
     total = None
     for pred in preds:
         term = _masked_l1(pred, target, frame_mask)
@@ -98,5 +97,4 @@ def iterative_spec_loss(preds: list[Tensor], target, frame_mask=None) -> Tensor:
 
 def single_spec_loss(preds: list[Tensor], target, frame_mask=None) -> Tensor:
     """L1 of the final block's projection only, same normalization."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
     return _masked_l1(preds[-1], target, frame_mask) * (1.0 / _normalizer(target, frame_mask))

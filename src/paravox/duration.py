@@ -92,7 +92,6 @@ def duration_loss(pred: DurationPrediction, target: DurationTarget, token_mask=N
         raise ShapeError(f"prediction {pred.seconds.shape} vs target {target.frames.shape}")
     mask = np.ones(target.frames.shape, dtype=float) if token_mask is None \
         else np.asarray(token_mask, dtype=float)
-    m = Tensor(mask)
-    ce = (pt.bce_with_logits(pred.logits, Tensor(target.nonzero.astype(float))) * m).sum()
-    l1 = (pt.abs_(pred.seconds - Tensor(target.seconds)) * m).sum()
+    ce = (pt.bce_with_logits(pred.logits, target.nonzero.astype(float)) * mask).sum()
+    l1 = (pt.abs_(pred.seconds - target.seconds) * mask).sum()
     return ce, l1

@@ -181,8 +181,8 @@ class SynthesisModel(Module):
         """Returns (latent block [B,N,32] or [B,32], kl [B] or None, prior loss or None, posterior)."""
         cfg = self.cfg
         if cfg.variant == "novae":
-            return Tensor(np.zeros((len(batch.speakers), cfg.latent_proj_dim))), None, None, None
-        mel = Tensor(batch.mel)
+            return pt.constant(np.zeros((len(batch.speakers), cfg.latent_proj_dim))), None, None, None
+        mel = pt.constant(batch.mel)
         if cfg.variant == "global":
             post = self.posterior(mel, batch.frame_mask, training, rng)
             z = post.sample(rng) if sample else post.mean
@@ -191,7 +191,7 @@ class SynthesisModel(Module):
         feats = positional_features(batch.frames, cfg.d_model, pad_to=batch.mel.shape[1])
         post = self.posterior(mel, feats, spk, enc, training, rng)
         z = post.sample(rng) if sample else post.mean
-        kl = kl_divergence(post, Tensor(np.zeros(cfg.latent_dim)), token_mask=batch.token_mask)
+        kl = kl_divergence(post, np.zeros(cfg.latent_dim), token_mask=batch.token_mask)
         teacher = post.mean if prior_teacher is None else prior_teacher
         _, prior_loss = self.prior_lstm.teacher_forced(enc, spk, teacher)
         return self.latent_proj(z, spk, enc), kl, prior_loss, post
@@ -253,7 +253,7 @@ class SynthesisModel(Module):
             enc = self.encoder(tokens, token_mask)
             spk = self.speakers(speakers)
             if cfg.variant == "novae":
-                latent = Tensor(np.zeros((len(speakers), cfg.latent_proj_dim)))
+                latent = pt.constant(np.zeros((len(speakers), cfg.latent_proj_dim)))
             elif cfg.variant == "global":
                 latent = self.latent_proj(self.speaker_prior(speakers))
             else:

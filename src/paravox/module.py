@@ -46,17 +46,19 @@ class Module:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Replace every parameter's values; FormatError when ``arrays`` holds
-        another parameter set or another shape."""
+        another parameter set or another shape.  Every entry is checked before
+        any is assigned, so a failed load leaves the model as it was."""
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(arrays))
         extra = sorted(set(arrays) - set(own))
         if missing or extra:
             raise FormatError(f"state mismatch; missing={missing} unexpected={extra}")
         for name, p in own.items():
-            arr = np.asarray(arrays[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise FormatError(f"shape mismatch for {name}: file {arr.shape} vs model {p.data.shape}")
-            p.data = arr.copy()
+            shape = np.shape(arrays[name])
+            if shape != p.data.shape:
+                raise FormatError(f"shape mismatch for {name}: file {shape} vs model {p.data.shape}")
+        for name, p in own.items():
+            p.data = np.asarray(arrays[name], dtype=p.data.dtype).copy()
 
 
 class ModuleList(Module):

@@ -8,10 +8,24 @@ node drops its gradient and its closure (and with it every array the closure
 held).  Only leaves (Parameters and input tensors) keep ``.grad``, and a swept
 graph cannot be swept again.
 
+Constants carry no gradient.  A raw numpy array or scalar passed to an op is
+lifted to a constant (so is the result of ``constant`` and ``stop_gradient``);
+closures skip constant parents, and an op whose parents are all constants
+returns a constant with no parents and no closure.  Its madds are counted all
+the same.  A ``Tensor(x)`` built by the caller is not a constant: it is a
+differentiable leaf and receives ``.grad``.
+
+Gradient ownership: a node with parents keeps the first gradient array it
+receives without copying it.  That array may be shared with other nodes, so it
+is read-only: only the node's own closure reads it, and a second contribution
+is summed into a new array laid out like the first.  Leaves own a private copy,
+because the optimizer and gradient clipping update ``.grad`` in place.
+
 The hot network ops are fused: ``softmax``, ``layer_norm``, ``conv1d`` (im2col
-and one matmul), ``lightweight_conv`` (a sliding window and one contraction)
-and ``lstm`` (one input GEMM over all steps, then the recurrence in numpy) are
-each a single graph node with a hand-written numpy backward.
+and one matmul), ``lightweight_conv`` (a sliding window and one contraction),
+``lstm`` (one input GEMM over all steps, then the recurrence in numpy) and
+``bce_with_logits`` are each a single graph node with a hand-written numpy
+backward.
 
 Two run-level precisions exist: "standard" (float32) for training and "high"
 (float64) for finite-difference gradient checks.  The precision is a global
@@ -22,9 +36,11 @@ callers can compare decoder variants by exact operation counts instead of
 wall clock.  Contractions count their multiply-adds: ``matmul`` m*k*n per
 batch entry, ``conv1d`` k*d_in*d_out per output frame, ``lightweight_conv`` k
 per output element, and ``lstm`` B*N*4H*(d_in+H) for its input and recurrent
-projections.  Element-wise ops, ``softmax``, ``layer_norm`` and
-``gather_rows`` count one per output element, ``sum_`` one per input element,
-and shape ops (reshape, transpose, concat, slicing, padding, expand) nothing.
+projections.  Element-wise ops (``bce_with_logits`` among them), ``softmax``,
+``layer_norm`` and ``gather_rows`` count one per output element, so the
+upsampler's frame gather costs T*d per utterance.  ``sum_`` counts one per
+input element, and shape ops (reshape, transpose, concat, slicing, padding,
+expand) nothing.
 """
 
 from __future__ import annotations
@@ -92,11 +108,14 @@ class Tensor:
     """A node in the reverse-mode computation graph.
 
     ``data`` is a contiguous numpy array; ``grad`` has the same shape and is
-    allocated lazily on first accumulation.  ``backward`` resets the ``grad``
-    and ``_backward`` of every non-leaf node it sweeps to None.
+    set on first accumulation (a private copy for a leaf, the received array
+    for a node with parents).  ``backward`` resets the ``grad`` and
+    ``_backward`` of every non-leaf node it sweeps to None.  ``const`` marks a
+    constant, which no closure gives a gradient.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "const")
+    __array_ufunc__ = None  # ``array * tensor`` defers to Tensor.__rmul__
 
     def __init__(self, data, _parents=(), _backward=None):
         if isinstance(data, Tensor):
@@ -105,6 +124,7 @@ class Tensor:
         self.grad = None
         self._parents = _parents if _state["grad"] else ()
         self._backward = _backward if _state["grad"] else None
+        self.const = False
 
     @property
     def shape(self):
@@ -123,7 +143,15 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)  # a private copy, never an alias of g
+            if (self._parents and isinstance(g, np.ndarray) and g.dtype == self.data.dtype
+                    and (g.flags.c_contiguous or g.flags.f_contiguous)):
+                self.grad = g  # a read-only alias: only this node's closure reads it
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)  # a private copy, as a leaf needs
+        elif self._parents:
+            # never write into an alias; keep the first contribution's layout,
+            # which fixes the summation order of later reductions
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
         else:
             self.grad += g
 
@@ -191,8 +219,20 @@ class Parameter(Tensor):
         self.trainable = trainable
 
 
+def constant(data) -> Tensor:
+    """A leaf that carries no gradient (a mask, noise, a target, fixed features).
+
+    Ops skip a constant parent in their backward, and an op whose parents are
+    all constants returns a constant with no graph behind it.
+    """
+    out = Tensor(data)
+    out.const = True
+    return out
+
+
 def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """Tensors pass through; anything else (a numpy array, a scalar) is a constant."""
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -217,8 +257,11 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def _make(out_data, parents, backward, madds=None) -> Tensor:
     """Count the op's multiply-adds (default: one per output element) and wrap
-    its result; under ``no_grad`` the node keeps neither parents nor closure."""
+    its result; under ``no_grad`` the node keeps neither parents nor closure,
+    and over constant parents only it is a constant."""
     _count(out_data.size if madds is None else madds)
+    if all(p.const for p in parents):
+        return constant(out_data)
     return Tensor(out_data, parents, backward)
 
 
@@ -230,8 +273,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bw(g):
-        a._accum(_unbroadcast(g, a.data.shape))
-        b._accum(_unbroadcast(g, b.data.shape))
+        if not a.const:
+            a._accum(_unbroadcast(g, a.data.shape))
+        if not b.const:
+            b._accum(_unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -242,8 +287,10 @@ def sub(a, b) -> Tensor:
     out_data = a.data - b.data
 
     def bw(g):
-        a._accum(_unbroadcast(g, a.data.shape))
-        b._accum(_unbroadcast(-g, b.data.shape))
+        if not a.const:
+            a._accum(_unbroadcast(g, a.data.shape))
+        if not b.const:
+            b._accum(_unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -254,8 +301,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def bw(g):
-        a._accum(_unbroadcast(g * b.data, a.data.shape))
-        b._accum(_unbroadcast(g * a.data, b.data.shape))
+        if not a.const:
+            a._accum(_unbroadcast(g * b.data, a.data.shape))
+        if not b.const:
+            b._accum(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -266,8 +315,10 @@ def div(a, b) -> Tensor:
     out_data = a.data / b.data
 
     def bw(g):
-        a._accum(_unbroadcast(g / b.data, a.data.shape))
-        b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if not a.const:
+            a._accum(_unbroadcast(g / b.data, a.data.shape))
+        if not b.const:
+            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -347,10 +398,14 @@ def sigmoid(a) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """ln(1 + e^z), computed branch-free stably as max(z,0) + log1p(e^-|z|)."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def softplus(a) -> Tensor:
-    """ln(1 + e^x), computed branch-free stably as max(x,0) + log1p(e^-|x|)."""
     a = _lift(a)
-    out_data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
+    out_data = _softplus(a.data)
 
     def bw(g):
         a._accum(g * _sigmoid(a.data))
@@ -387,14 +442,18 @@ def matmul(a, b) -> Tensor:
 
         def bw(g):
             g_rows = g.reshape(-1, g.shape[-1])
-            a._accum((g_rows @ b.data.T).reshape(a.data.shape))
-            b._accum(rows.T @ g_rows)
+            if not a.const:
+                a._accum((g_rows @ b.data.T).reshape(a.data.shape))
+            if not b.const:
+                b._accum(rows.T @ g_rows)
     else:
         out_data = a.data @ b.data
 
         def bw(g):
-            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if not a.const:
+                a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            if not b.const:
+                b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), bw, madds=out_data.size * a.shape[-1])
 
@@ -456,9 +515,10 @@ def concat(tensors, axis: int) -> Tensor:
 
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            t._accum(g[tuple(idx)])
+            if not t.const:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                t._accum(g[tuple(idx)])
 
     return _make(out_data, tuple(tensors), bw, madds=0)
 
@@ -502,23 +562,47 @@ def expand(a, shape) -> Tensor:
     return _make(out_data, (a,), bw, madds=0)
 
 
+def _scatter_add(buf: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``buf[ids] += rows`` for 1-D ``ids``, summing the rows of a repeated id
+    one after another in their order, as ``np.add.at`` does.
+
+    Runs in rounds: round r adds the r-th occurrence of every id, so no index
+    repeats within one vectorized add.  There are as many rounds as the most
+    frequent id has occurrences, and the whole is several times faster than
+    ``np.add.at``.
+    """
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    rank = np.arange(ids.size) - np.repeat(starts, np.diff(np.r_[starts, ids.size]))
+    by_rank = np.argsort(rank, kind="stable")
+    order, rank = order[by_rank], rank[by_rank]
+    bounds = np.flatnonzero(np.r_[True, rank[1:] != rank[:-1], True])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        round_rows = order[lo:hi]
+        buf[ids[round_rows]] += rows[round_rows]
+
+
 def gather_rows(table, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]`` (embedding); gradient scatter-adds per row."""
+    """Row lookup ``table[ids]`` (an embedding, or the upsampler's frame
+    gather); a negative id gives a zero row.  The gradient scatter-adds each
+    output row into its table row, skipping the zero rows."""
     table = _lift(table)
     ids = np.asarray(ids)
-    out_data = table.data[ids]
+    keep = ids >= 0
+    out_data = table.data[np.where(keep, ids, 0)]
+    out_data[~keep] = 0.0
 
     def bw(g):
         buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
+        _scatter_add(buf, ids[keep], g[keep])
         table._accum(buf)
 
     return _make(out_data, (table,), bw)
 
 
 def stop_gradient(a) -> Tensor:
-    a = _lift(a)
-    return Tensor(a.data)
+    return constant(a)
 
 
 # -- fused neural ops --------------------------------------------------------------
@@ -548,11 +632,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     out_data = normed * gain.data + bias.data
 
     def bw(g):
-        gn = g * gain.data
-        x._accum(inv * (gn - gn.mean(axis=-1, keepdims=True)
-                        - normed * (gn * normed).mean(axis=-1, keepdims=True)))
-        gain._accum(_unbroadcast(g * normed, gain.data.shape))
-        bias._accum(_unbroadcast(g, bias.data.shape))
+        if not x.const:
+            gn = g * gain.data
+            x._accum(inv * (gn - gn.mean(axis=-1, keepdims=True)
+                            - normed * (gn * normed).mean(axis=-1, keepdims=True)))
+        if not gain.const:
+            gain._accum(_unbroadcast(g * normed, gain.data.shape))
+        if not bias.const:
+            bias._accum(_unbroadcast(g, bias.data.shape))
 
     return _make(out_data, (x, gain, bias), bw)
 
@@ -586,11 +673,13 @@ def lightweight_conv(x, kernel) -> Tensor:
     out_data = np.matmul(win, kernel.data[:, :, None]).reshape(b, t, d)
 
     def bw(g):
-        kernel._accum(np.matmul(g.reshape(b, t, h, 1, d // h), win).sum(axis=(0, 1)).reshape(h, k))
-        # x[:, s] reaches out[:, s - j + k // 2] through tap j: correlate the
-        # padded gradient with the tap-reversed kernel
-        flipped = np.ascontiguousarray(kernel.data[:, ::-1, None])
-        x._accum(np.matmul(windows(g), flipped).reshape(b, t, d))
+        if not kernel.const:
+            kernel._accum(np.matmul(g.reshape(b, t, h, 1, d // h), win).sum(axis=(0, 1)).reshape(h, k))
+        if not x.const:
+            # x[:, s] reaches out[:, s - j + k // 2] through tap j: correlate the
+            # padded gradient with the tap-reversed kernel
+            flipped = np.ascontiguousarray(kernel.data[:, ::-1, None])
+            x._accum(np.matmul(windows(g), flipped).reshape(b, t, d))
 
     return _make(out_data, (x, kernel), bw, madds=out_data.size * k)
 
@@ -616,8 +705,12 @@ def conv1d(x, weight, bias, stride: int = 1) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(b * t_out, d_out)
-        weight._accum((cols.T @ g2).reshape(k, d_in, d_out))
-        bias._accum(_unbroadcast(g, bias.data.shape))
+        if not weight.const:
+            weight._accum((cols.T @ g2).reshape(k, d_in, d_out))
+        if not bias.const:
+            bias._accum(_unbroadcast(g, bias.data.shape))
+        if x.const:
+            return
         g_cols = (g2 @ w2.T).reshape(b, t_out, k, d_in)
         g_padded = np.zeros((b, left + t + right, d_in), dtype=g_cols.dtype)
         span = (t_out - 1) * stride + 1
@@ -684,10 +777,14 @@ def lstm(x, w_x, w_h, b) -> Tensor:
             dc_next = dc * f
             dh_next = dz[t] @ w_h.data.T
         dz_rows = dz.reshape(steps * bsz, 4 * n)
-        x._accum((dz_rows @ w_x.data.T).reshape(steps, bsz, d_in).transpose(1, 0, 2))
-        w_x._accum(x_rows.T @ dz_rows)
-        w_h._accum(hs[:-1].reshape(steps * bsz, n).T @ dz_rows)
-        b._accum(dz_rows.sum(axis=0))
+        if not x.const:
+            x._accum((dz_rows @ w_x.data.T).reshape(steps, bsz, d_in).transpose(1, 0, 2))
+        if not w_x.const:
+            w_x._accum(x_rows.T @ dz_rows)
+        if not w_h.const:
+            w_h._accum(hs[:-1].reshape(steps * bsz, n).T @ dz_rows)
+        if not b.const:
+            b._accum(dz_rows.sum(axis=0))
 
     return _make(out_data, (x, w_x, w_h, b), bw, madds=bsz * steps * 4 * hidden * (d_in + hidden))
 
@@ -699,14 +796,32 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> 
     if rng is None:
         raise ValueError("training-mode dropout requires an explicit random generator")
     keep = (rng.random(x.shape) >= rate).astype(active_dtype()) / (1.0 - rate)
-    return mul(x, Tensor(keep))
+    return mul(x, keep)
 
 
 def bce_with_logits(logits, targets) -> Tensor:
-    """Per-element binary cross-entropy from logits (softplus form, stable)."""
-    logits = _lift(logits)
-    targets = _lift(targets)
-    return add(mul(targets, softplus(neg(logits))), mul(sub(1.0, targets), softplus(logits)))
+    """Per-element binary cross-entropy from logits, one node:
+    t * softplus(-x) + (1 - t) * softplus(x), each softplus in its stable form.
+
+    The logit gradient is g * (-t * sigmoid(-x) + (1 - t) * sigmoid(x)).  Each
+    term is evaluated in the order the same expression built from primitive
+    ops evaluates it, so values and gradients match that composite bit for bit.
+    """
+    logits, targets = _lift(logits), _lift(targets)
+    _check_broadcast(logits, targets, "bce_with_logits")
+    x, t = logits.data, targets.data
+    neg_x, one_minus_t = -x, 1.0 - t
+    sp_neg, sp_pos = _softplus(neg_x), _softplus(x)
+    out_data = t * sp_neg + one_minus_t * sp_pos
+
+    def bw(g):
+        if not logits.const:
+            g_x = -((g * t) * _sigmoid(neg_x)) + (g * one_minus_t) * _sigmoid(x)
+            logits._accum(_unbroadcast(g_x, x.shape))
+        if not targets.const:
+            targets._accum(_unbroadcast(g * sp_neg - g * sp_pos, t.shape))
+
+    return _make(out_data, (logits, targets), bw)
 
 
 # -- backward sweep ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from .decoder import KINDS as DECODER_KINDS
 from .model import (VARIANTS, Batch, ForwardOutputs, ModelConfig, ModelHyperparams,
                     SynthesisModel, make_batch)
 from .module import RandomSource
-from .tensor import Parameter, Tensor, backward, no_grad
+from .tensor import Parameter, Tensor, backward, constant, no_grad
 
 
 @dataclass
@@ -400,7 +400,7 @@ def _decode_rows(model: SynthesisModel, hidden: Tensor, frames_by_row: dict) -> 
     for i, row_frames in enumerate(frames_by_row.values()):
         frames[i, :len(row_frames)] = row_frames
     with no_grad():
-        mels = model.decode(Tensor(hidden.data[list(frames_by_row)]), frames)[-1].data
+        mels = model.decode(constant(hidden.data[list(frames_by_row)]), frames)[-1].data
     return [mel[:total] for mel, total in zip(mels, frames.sum(axis=1))]
 
 

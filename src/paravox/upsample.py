@@ -43,32 +43,28 @@ def frame_layout(frames: np.ndarray, pad_to: int | None = None):
             raise ShapeError(f"pad_to={pad_to} is shorter than the longest element ({t_max})")
         t_max = pad_to
     b, n = frames.shape
+    valid = np.arange(t_max)[None, :] < totals[:, None]
+    # the valid frames in row-major order are the tokens repeated by their counts
+    counts = frames.reshape(-1)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
     index_map = np.full((b, t_max), -1, dtype=int)
     offsets = np.zeros((b, t_max), dtype=int)
-    mask = np.zeros((b, t_max), dtype=float)
-    for bi in range(b):
-        idx = np.repeat(np.arange(n), frames[bi])
-        index_map[bi, :totals[bi]] = idx
-        offsets[bi, :totals[bi]] = np.arange(totals[bi]) - np.repeat(
-            np.concatenate([[0], np.cumsum(frames[bi])[:-1]]), frames[bi])
-        mask[bi, :totals[bi]] = 1.0
-    return index_map, offsets, mask
+    index_map[valid] = np.repeat(np.tile(np.arange(n), b), counts)
+    offsets[valid] = np.arange(counts.sum()) - starts
+    return index_map, offsets, valid.astype(float)
 
 
 def upsample(hidden: Tensor, frames: np.ndarray):
     """Repeat token vectors per duration: [B,N,d] -> [B,T,d] plus the index map.
 
-    Implemented as a constant one-hot selection matrix times the hidden
-    states, so each token's gradient is the sum over its emitted frames.
+    An index gather over the token rows of the whole batch (the length
+    regulator of FastSpeech): padding frames read a zero row, and each
+    token's gradient is the sum over its emitted frames.
     """
     index_map, _, mask = frame_layout(frames)
-    b, n, _ = hidden.shape
-    t_max = index_map.shape[1]
-    select = np.zeros((b, t_max, n), dtype=pt.active_dtype())
-    valid = index_map >= 0
-    bi, ti = np.nonzero(valid)
-    select[bi, ti, index_map[bi, ti]] = 1.0
-    out = pt.matmul(Tensor(select), hidden)
+    b, n, d = hidden.shape
+    rows = np.where(index_map >= 0, index_map + n * np.arange(b)[:, None], -1)
+    out = pt.gather_rows(pt.reshape(hidden, (b * n, d)), rows)
     return out, index_map, mask
 
 
@@ -81,11 +77,11 @@ def positional_features(frames: np.ndarray, dim: int, pad_to: int | None = None)
     dur_per_frame = np.take_along_axis(frames, safe_index, axis=1).astype(float)
     offs = offsets.astype(float)
     valid = (index_map >= 0).astype(float)
-    within = sinusoidal_embedding(offs * valid, dim) * Tensor(valid[:, :, None])
-    duration = sinusoidal_embedding(dur_per_frame * valid, dim) * Tensor(valid[:, :, None])
+    within = sinusoidal_embedding(offs * valid, dim) * valid[:, :, None]
+    duration = sinusoidal_embedding(dur_per_frame * valid, dim) * valid[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(valid > 0, offs / np.maximum(dur_per_frame, 1.0), 0.0)
-    fraction = Tensor(frac[:, :, None])
+    fraction = pt.constant(frac[:, :, None])
     return PositionalFeatures(within, duration, fraction, mask, index_map)
 
 
@@ -107,6 +103,6 @@ class FeatureCombiner(Module):
 
     def __call__(self, upsampled: Tensor, feats: PositionalFeatures) -> Tensor:
         w = self.weights()
-        lifted = self.coord_proj(feats.fraction) * Tensor(feats.frame_mask[:, :, None])
+        lifted = self.coord_proj(feats.fraction) * feats.frame_mask[:, :, None]
         blend = (w[0] * feats.within + w[1] * feats.duration + w[2] * lifted)
         return upsampled + blend

@@ -26,7 +26,7 @@ class LatentPosterior:
     log_variance: Tensor  # same shape
 
     def sample(self, rng: np.random.Generator) -> Tensor:
-        eps = Tensor(rng.standard_normal(self.mean.shape))
+        eps = rng.standard_normal(self.mean.shape)
         return self.mean + pt.exp(self.log_variance * 0.5) * eps
 
 
@@ -35,7 +35,6 @@ def kl_divergence(post: LatentPosterior, prior_mean, token_mask=None) -> Tensor:
 
     Summed over latent dims; a [B, N, L] posterior is also summed over valid tokens.
     """
-    prior_mean = prior_mean if isinstance(prior_mean, Tensor) else Tensor(prior_mean)
     if post.mean.shape != post.log_variance.shape:
         raise ShapeError(f"posterior mean {post.mean.shape} vs log-variance {post.log_variance.shape}")
     diff = post.mean - prior_mean
@@ -44,7 +43,7 @@ def kl_divergence(post: LatentPosterior, prior_mean, token_mask=None) -> Tensor:
     if per_pos.ndim == 1:
         return per_pos
     if token_mask is not None:
-        per_pos = per_pos * Tensor(np.asarray(token_mask, dtype=pt.active_dtype()))
+        per_pos = per_pos * np.asarray(token_mask)
     return per_pos.sum(axis=-1)
 
 
@@ -101,8 +100,7 @@ class GlobalPosterior(Module):
             mask = (np.arange(t)[None, :] < lengths[:, None]).astype(float)
             x = block(x, mask, training, rng)
         x = apply_mask(x, mask)
-        denom = Tensor(mask.sum(axis=1, keepdims=True))
-        pooled = x.sum(axis=1) / denom
+        pooled = x.sum(axis=1) / mask.sum(axis=1, keepdims=True)
         return LatentPosterior(self.mean_proj(pooled), self.logvar_proj(pooled))
 
 
@@ -148,7 +146,7 @@ class FinePosterior(Module):
         k = self.k_proj(x)
         scores = pt.matmul(q, pt.transpose(k, (0, 2, 1))) * (self.d_model ** -0.5)
         neg = (np.asarray(frame_mask, dtype=pt.active_dtype()) - 1.0) * 1e9
-        weights = pt.softmax(scores + Tensor(neg[:, None, :]), axis=-1)
+        weights = pt.softmax(scores + neg[:, None, :], axis=-1)
         ctx = pt.matmul(weights, x)
         mean = apply_mask(self.mean_proj(ctx), enc.token_mask)
         logvar = apply_mask(self.logvar_proj(ctx), enc.token_mask)
@@ -189,11 +187,11 @@ class FinePriorLSTM(Module):
         b, n_tokens, _ = enc.phonemes.shape
         spk = pt.expand(pt.reshape(speaker_emb, (b, 1, speaker_emb.shape[-1])),
                         (b, n_tokens, speaker_emb.shape[-1]))
-        prev = Tensor(np.pad(teacher.data[:, :-1], ((0, 0), (1, 0), (0, 0))))
+        prev = np.pad(teacher.data[:, :-1], ((0, 0), (1, 0), (0, 0)))
         hidden = pt.lstm(pt.concat([spk, enc.phonemes, prev], axis=2), self.w_x, self.w_h, self.b)
         preds = self.out_proj(hidden)
         err = preds - teacher
-        masked = (err * err).sum(axis=-1) * Tensor(enc.token_mask)
+        masked = (err * err).sum(axis=-1) * enc.token_mask
         return preds, masked.sum()
 
     def rollout(self, enc, speaker_emb: Tensor) -> Tensor:
@@ -224,7 +222,7 @@ class FinePriorLSTM(Module):
         # the contractions pt.lstm and out_proj would count for the same sequence
         pt._count(b * n_tokens * (4 * self.hidden * (w_x.shape[0] + self.hidden)
                                   + self.hidden * self.latent_dim))
-        return Tensor(preds)
+        return pt.constant(preds)
 
 
 class LatentProjector(Module):

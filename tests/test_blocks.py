@@ -37,6 +37,19 @@ def test_sinusoid_known_values():
     assert np.allclose(emb.data, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["standard", "high"])
+def test_sinusoid_of_repeated_positions_equals_direct_formula(mode):
+    positions = np.array([[0.0, 3.0, 3.0, 1.5], [7.0, 0.0, 3.0, 7.0]])
+    with pt.precision(mode):
+        emb = blocks.sinusoidal_embedding(positions, 6)
+        angles = positions[..., None] / 10000.0 ** (2.0 * np.arange(3) / 6)
+        direct = np.empty(positions.shape + (6,), dtype=pt.active_dtype())
+        direct[..., 0::2] = np.sin(angles)
+        direct[..., 1::2] = np.cos(angles)
+    assert emb.const and emb.data.dtype == direct.dtype
+    assert np.array_equal(emb.data, direct)
+
+
 def test_sinusoid_odd_dim_rejected():
     with pytest.raises(ShapeError):
         blocks.sinusoidal_embedding(np.array(1.0), 5)

@@ -148,6 +148,40 @@ def test_checkpoint_shape_mismatch_rejected(tiny_spec):
         model.load_state_arrays(arrays)
 
 
+def test_failed_load_leaves_every_parameter_unchanged(tiny_spec):
+    model = build(tiny_spec, "novae")
+    before = {name: arr.copy() for name, arr in model.state_arrays().items()}
+    arrays = {name: arr + 1.0 for name, arr in before.items()}
+    last = list(arrays)[-1]
+    arrays[last] = np.zeros(arrays[last].shape + (2,))
+    with pytest.raises(FormatError, match=last):
+        model.load_state_arrays(arrays)
+    for name, arr in model.state_arrays().items():
+        assert np.array_equal(arr, before[name]), name
+
+
+@pytest.mark.parametrize("variant", ["novae", "global", "fine"])
+def test_train_step_graph_leaves_are_parameters_or_constants(tiny_spec, tiny_corpus, variant,
+                                                             monkeypatch):
+    from paravox import training
+    model = build(tiny_spec, variant)
+    cfg = tiny_train_config(variant=variant)
+    state = TrainState(model, NesterovMomentum(model.named_parameters(), cfg.momentum))
+    swept = {}
+
+    def recording_backward(loss):
+        swept["nodes"] = pt._topo_order(loss)
+        pt.backward(loss)
+
+    monkeypatch.setattr(training, "backward", recording_backward)
+    train_step(state, make_batch(tiny_corpus), cfg, np.random.default_rng(1))
+    leaves = [node for node in swept["nodes"] if not node._parents]
+    constants = [node for node in leaves if node.const]
+    assert constants and all(isinstance(node, pt.Parameter) or node.const for node in leaves)
+    assert all(node.grad is None for node in constants)
+    assert not any(isinstance(node, pt.Parameter) for node in constants)
+
+
 def test_training_state_resume_is_bit_exact(tiny_spec, tiny_corpus, tmp_path):
     cfg = tiny_train_config(variant="global", total_steps=12, batch_size=4)
 

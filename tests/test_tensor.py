@@ -363,6 +363,144 @@ def test_leaf_grad_is_a_private_copy():
     assert upstream[0] == 7.0 and q.grad[0] == 14.0
 
 
+def test_non_leaf_gradient_is_an_alias_and_fan_out_keeps_its_layout():
+    p = Parameter(np.ones((2, 3)))
+    y = p * 2.0
+    first = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    y._accum(first)
+    assert y.grad is first  # no copy for a node with parents
+    y._accum(np.ones((2, 3)))
+    assert y.grad is not first and np.array_equal(first, np.arange(6.0).reshape(2, 3))
+    assert y.grad.flags.f_contiguous and np.array_equal(y.grad, np.arange(6.0).reshape(2, 3) + 1)
+    z = p * 3.0
+    strided = np.ones((2, 6))[:, ::2]
+    z._accum(strided)
+    assert z.grad is not strided and z.grad.flags.c_contiguous
+
+
+def test_fan_out_into_a_non_leaf_mutates_no_upstream_array(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = Parameter(rng.normal(size=(3, 4)))
+    c, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    seen = []
+    accum = Tensor._accum
+
+    def recording_accum(node, g):
+        seen.append((g, np.array(g, copy=True)))
+        accum(node, g)
+
+    monkeypatch.setattr(Tensor, "_accum", recording_accum)
+    y = x * c
+    backward(((pt.add(y, y) + pt.mul(y, y)) * w).sum())
+    assert np.allclose(x.grad, (2.0 + 2.0 * y.data) * w * c, rtol=1e-13, atol=0)
+    assert len(seen) > 5 and all(np.array_equal(g, snapshot) for g, snapshot in seen)
+
+
+def test_raw_arrays_are_constants_and_caller_tensors_are_leaves():
+    x = Tensor(np.array([1.0, 2.0]))  # a caller-built leaf: differentiable
+    mask = np.array([1.0, 0.0])
+    out = x * mask
+    const = out._parents[1]
+    assert not x.const and const.const
+    backward((out * 3.0).sum())
+    assert np.array_equal(x.grad, [3.0, 0.0]) and const.grad is None
+    pt.reset_madds()
+    folded = pt.mul(np.ones(3), pt.exp(np.zeros(3)))
+    assert folded.const and folded._parents == () and folded._backward is None
+    assert pt.madds() == 6  # the ops are counted although they build no graph
+    assert pt.stop_gradient(x).const
+
+
+def _uniform(rng, *shape):
+    return rng.uniform(0.5, 1.5, size=shape)
+
+
+MULTI_PARENT_OPS = {
+    "add": (pt.add, [(2, 3), (3,)]),
+    "sub": (pt.sub, [(2, 3), (2, 3)]),
+    "mul": (pt.mul, [(2, 3), (2, 1)]),
+    "div": (pt.div, [(2, 3), (2, 3)]),
+    "matmul": (pt.matmul, [(2, 3, 4), (4, 5)]),
+    "batched_matmul": (pt.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "concat": (lambda a, b: pt.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "conv1d": (lambda x, w, b: pt.conv1d(x, w, b, stride=2), [(2, 5, 3), (3, 3, 4), (4,)]),
+    "layer_norm": (pt.layer_norm, [(2, 3, 4), (4,), (4,)]),
+    "lightweight_conv": (pt.lightweight_conv, [(2, 5, 4), (2, 3)]),
+    "lstm": (pt.lstm, [(2, 3, 2), (2, 8), (2, 8), (8,)]),
+    "bce_with_logits": (pt.bce_with_logits, [(2, 3), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_PARENT_OPS))
+def test_constant_parents_get_no_gradient(name):
+    """With one input passed as a raw array, that input gets no gradient and
+    every other input gets exactly the gradient it gets when all are leaves."""
+    op, shapes = MULTI_PARENT_OPS[name]
+    rng = np.random.default_rng(5)
+    arrays = [_uniform(rng, *shape) for shape in shapes]
+    full = [Parameter(a) for a in arrays]
+    out = op(*full)
+    weights = rng.normal(size=out.shape)
+    backward((out * weights).sum())
+    for i in range(len(arrays)):
+        inputs = [a if j == i else Parameter(a) for j, a in enumerate(arrays)]
+        out = op(*inputs)
+        backward((out * weights).sum())
+        assert out._parents[i].const and out._parents[i].grad is None
+        for j, p in enumerate(inputs):
+            if j != i:
+                assert np.array_equal(p.grad, full[j].grad), (name, i, j)
+    assert op(*arrays).const
+
+
+def reference_bce(logits, targets):
+    """The composite bce_with_logits was built from before it was one node."""
+    return pt.add(pt.mul(targets, pt.softplus(pt.neg(logits))),
+                  pt.mul(pt.sub(1.0, targets), pt.softplus(logits)))
+
+
+@pytest.mark.parametrize("mode", ["standard", "high"])
+def test_bce_with_logits_matches_its_composite_bit_for_bit(mode):
+    with pt.precision(mode):
+        rng = np.random.default_rng(11)
+        logits = rng.normal(size=(3, 5)) * 4.0
+        targets = np.where(rng.random((3, 5)) > 0.3, rng.random((3, 5)), 1.0)
+        weights = rng.normal(size=(3, 5))
+        results = []
+        for op in (pt.bce_with_logits, reference_bce):
+            x, t = Parameter(logits), Parameter(targets)
+            out = op(x, t)
+            backward((out * weights).sum())
+            results.append((out.data, x.grad, t.grad))
+        (out, gx, gt), (ref_out, ref_gx, ref_gt) = results
+        assert np.array_equal(out, ref_out) and np.array_equal(gx, ref_gx)
+        assert np.allclose(gt, ref_gt, rtol=1e-6, atol=0)
+
+
+def test_gather_rows_negative_id_gives_a_zero_row_and_no_gradient():
+    table = Parameter(np.arange(1.0, 13.0).reshape(4, 3))
+    out = pt.gather_rows(table, np.array([[1, -1], [3, 1]]))
+    assert np.array_equal(out.data[0, 1], np.zeros(3))
+    assert np.array_equal(out.data[1], table.data[[3, 1]])
+    backward(out.sum())
+    # row 3 is read once: the -1 does not wrap around to the last row
+    assert np.array_equal(table.grad[:, 0], [0.0, 2.0, 0.0, 1.0])
+
+
+def test_gather_rows_gradient_sums_repeated_ids_in_order_like_add_at():
+    rng = np.random.default_rng(21)
+    with pt.precision("standard"):  # float32, where summation order shows
+        table = Parameter(np.zeros((7, 5)))
+        ids = rng.integers(-1, 7, size=(6, 40))
+        ids[0, :30] = 2  # one id repeated many times
+        out = pt.gather_rows(table, ids)
+        weights = rng.normal(size=out.shape).astype(np.float32)
+        backward((out * weights).sum())
+        expected = np.zeros((7, 5), dtype=np.float32)
+        np.add.at(expected, ids[ids >= 0], weights[ids >= 0])
+    assert np.array_equal(table.grad, expected)
+
+
 def test_second_sweep_over_a_swept_graph_raises():
     p = Parameter(np.array([2.0]))
     h = p * p

@@ -5,7 +5,7 @@ import paravox.tensor as pt
 from paravox import upsample
 from paravox.errors import ShapeError
 from paravox.gradcheck import grad_check
-from paravox.tensor import Parameter, Tensor
+from paravox.tensor import Parameter, Tensor, backward
 
 
 @pytest.fixture(autouse=True)
@@ -153,3 +153,57 @@ def test_upsample_independent_of_batch_composition():
     both, _, _ = upsample.upsample(Tensor(np.concatenate([hidden, other])),
                                    np.concatenate([frames, [[3, 3, 3]]]))
     assert np.allclose(both.data[0, :5], solo.data[0], atol=1e-15)
+
+
+def reference_frame_layout(frames, pad_to=None):
+    """The per-row loop frame_layout replaced; frames are assumed valid."""
+    frames = np.asarray(frames, dtype=int)
+    totals = frames.sum(axis=1)
+    t_max = int(totals.max()) if pad_to is None else pad_to
+    b, n = frames.shape
+    index_map = np.full((b, t_max), -1, dtype=int)
+    offsets = np.zeros((b, t_max), dtype=int)
+    mask = np.zeros((b, t_max), dtype=float)
+    for bi in range(b):
+        index_map[bi, :totals[bi]] = np.repeat(np.arange(n), frames[bi])
+        offsets[bi, :totals[bi]] = np.arange(totals[bi]) - np.repeat(
+            np.concatenate([[0], np.cumsum(frames[bi])[:-1]]), frames[bi])
+        mask[bi, :totals[bi]] = 1.0
+    return index_map, offsets, mask
+
+
+def test_frame_layout_matches_per_row_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        b, n = rng.integers(1, 5), rng.integers(1, 9)
+        frames = rng.integers(0, 6, size=(b, n)) * (rng.random((b, n)) > 0.3)  # zero-frame tokens
+        frames[:, rng.integers(0, n)] += 1  # every row emits at least one frame
+        pad_to = None if trial % 2 else int(frames.sum(axis=1).max()) + int(rng.integers(0, 4))
+        got = upsample.frame_layout(frames, pad_to)
+        want = reference_frame_layout(frames, pad_to)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_upsample_matches_one_hot_matmul():
+    """The gather equals the dense one-hot selection it replaced, forward and
+    gradient, with zero-frame tokens and padding rows."""
+    rng = np.random.default_rng(13)
+    frames = np.array([[2, 0, 3, 1], [1, 1, 0, 0], [0, 4, 1, 2]])
+    arrays = rng.normal(size=(3, 4, 5))
+    index_map, _, _ = upsample.frame_layout(frames)
+    select = np.zeros(index_map.shape + (4,))
+    bi, ti = np.nonzero(index_map >= 0)
+    select[bi, ti, index_map[bi, ti]] = 1.0
+    weights = rng.normal(size=index_map.shape + (5,))
+    results = []
+    for build in (lambda h: upsample.upsample(h, frames)[0], lambda h: pt.matmul(select, h)):
+        hidden = Parameter(arrays)
+        out = build(hidden)
+        backward((out * weights).sum())
+        results.append((out.data, hidden.grad))
+    (out, grad), (ref_out, ref_grad) = results
+    assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
+    assert np.array_equal(out[1, 2:], np.zeros((5, 5)))
+    assert np.array_equal(grad[0, 1], np.zeros(5)) and np.array_equal(grad[1, 2:], np.zeros((2, 5)))
+
