@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as pt
-from .decoder import DecoderConfig, SpectrogramDecoder
+from .decoder import SpectrogramDecoder
 
 BENCH_KINDS = ("lconv", "transformer", "ar-sim")
+HEADS = 8
 
 
 @dataclass
@@ -29,21 +30,21 @@ class BenchRow:
     madds: int
 
 
-def bench_decoder_config(kind: str, d_model: int = 64, blocks: int = 2, heads: int = 8,
-                         kernel_size: int = 17, mel_bins: int = 32) -> DecoderConfig:
+def bench_decoder(kind: str, d_model: int = 64, blocks: int = 2, heads: int = HEADS,
+                  kernel_size: int = 17, mel_bins: int = 32) -> SpectrogramDecoder:
+    """The decoder a benchmark kind runs (ar-sim runs the lconv stack), rng 0, no dropout."""
     arch = "lconv" if kind == "ar-sim" else kind
-    return DecoderConfig(kind=arch, num_blocks=blocks, heads=heads,
-                         kernel_size=kernel_size, d_model=d_model, mel_bins=mel_bins,
-                         dropout=0.0)
+    return SpectrogramDecoder(arch, d_model, mel_bins, blocks, heads, kernel_size,
+                              np.random.default_rng(0), dropout=0.0)
 
 
-def receptive_field(cfg: DecoderConfig) -> int:
-    return cfg.num_blocks * (cfg.kernel_size - 1) + 1
+def receptive_field(blocks: int, kernel_size: int) -> int:
+    return blocks * (kernel_size - 1) + 1
 
 
 def parallel_pass(dec: SpectrogramDecoder, frames: int, seed: int = 0):
     """One full-sequence forward; returns (seconds, madds)."""
-    x = pt.constant(np.random.default_rng(seed).normal(size=(1, frames, dec.cfg.d_model)))
+    x = pt.constant(np.random.default_rng(seed).normal(size=(1, frames, dec.d_model)))
     pt.reset_madds()
     start = time.perf_counter()
     with pt.no_grad():
@@ -53,8 +54,8 @@ def parallel_pass(dec: SpectrogramDecoder, frames: int, seed: int = 0):
 
 def ar_sim_pass(dec: SpectrogramDecoder, frames: int, seed: int = 0):
     """Frame-by-frame emulation over the trailing receptive-field window."""
-    window = receptive_field(dec.cfg)
-    data = np.random.default_rng(seed).normal(size=(1, frames, dec.cfg.d_model)) \
+    window = receptive_field(len(dec.blocks), dec.blocks[0].conv.kernel_size)
+    data = np.random.default_rng(seed).normal(size=(1, frames, dec.d_model)) \
         .astype(pt.active_dtype())
     pt.reset_madds()
     start = time.perf_counter()
@@ -67,7 +68,7 @@ def ar_sim_pass(dec: SpectrogramDecoder, frames: int, seed: int = 0):
 
 
 def decoder_madds(kind: str, frames: int, **config_kw) -> int:
-    dec = SpectrogramDecoder(bench_decoder_config(kind, **config_kw), np.random.default_rng(0))
+    dec = bench_decoder(kind, **config_kw)
     run = ar_sim_pass if kind == "ar-sim" else parallel_pass
     _, count = run(dec, frames)
     return count
@@ -78,8 +79,7 @@ def run_benchmark(kinds, frames_list, repeats: int = 3, **config_kw) -> list[Ben
     for kind in kinds:
         if kind not in BENCH_KINDS:
             raise ValueError(f"unknown decoder kind {kind!r}; expected one of {BENCH_KINDS}")
-        dec = SpectrogramDecoder(bench_decoder_config(kind, **config_kw),
-                                 np.random.default_rng(0))
+        dec = bench_decoder(kind, **config_kw)
         run = ar_sim_pass if kind == "ar-sim" else parallel_pass
         for frames in frames_list:
             times = []

@@ -24,6 +24,12 @@ def apply_mask(x: Tensor, mask) -> Tensor:
     return x * np.asarray(mask)[:, :, None]
 
 
+def repeat_over_positions(x: Tensor, n: int) -> Tensor:
+    """[B, d] -> [B, n, d]: a per-utterance vector repeated at every position."""
+    b, d = x.shape
+    return pt.expand(pt.reshape(x, (b, 1, d)), (b, n, d))
+
+
 def sinusoidal_embedding(positions, dim: int) -> Tensor:
     """Interleaved sin/cos embedding; accepts real-valued positions.
 
@@ -55,8 +61,9 @@ class LayerNorm(Module):
 class LightweightConv(Module):
     """Depthwise conv sharing one kernel per head, taps softmax-normalized.
 
-    Centered (non-causal) window with zero padding; masked positions neither
-    contribute nor emit.
+    Centered (non-causal) window with zero padding; masked positions do not
+    contribute.  Their output rows are not zeroed: ``LConvBlock`` masks once on
+    exit, after only row-wise ops.
     """
 
     def __init__(self, dim: int, heads: int, kernel_size: int, rng: np.random.Generator):
@@ -73,8 +80,7 @@ class LightweightConv(Module):
         return pt.softmax(self.kernel, axis=1)
 
     def __call__(self, x: Tensor, mask=None) -> Tensor:
-        out = pt.lightweight_conv(apply_mask(x, mask), self.normalized_kernel())
-        return apply_mask(out, mask)
+        return pt.lightweight_conv(apply_mask(x, mask), self.normalized_kernel())
 
 
 class LConvBlock(Module):

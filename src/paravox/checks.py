@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import blocks, decoder, duration, tensor as pt, upsample, vae
-from .encoder import EncoderConfig, EncoderOutput, TextEncoder
+from .encoder import EncoderOutput, TextEncoder
 from .gradcheck import GradCheckReport, grad_check
 from .model import Batch, ModelConfig, SynthesisModel
 from .tensor import Tensor
@@ -87,9 +87,8 @@ def check_blocks() -> GradCheckReport:
 
 
 def check_encoder() -> GradCheckReport:
-    cfg = EncoderConfig(vocab_size=8, d_model=16, conv_blocks=1, conv_kernel=3,
-                        transformer_blocks=1, heads=4, num_speakers=2, speaker_dim=8)
-    enc = TextEncoder(cfg, np.random.default_rng(4)).finalize_names("encoder.")
+    enc = TextEncoder(vocab_size=8, d_model=16, heads=4, conv_blocks=1, conv_kernel=3,
+                      transformer_blocks=1, rng=np.random.default_rng(4)).finalize_names("encoder.")
     ids = np.array([[0, 1, 2, 3, 4], [5, 6, 7, 1, 0]])
     mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=float)
 
@@ -169,11 +168,10 @@ def check_upsampler() -> GradCheckReport:
 
 
 def check_decoder() -> GradCheckReport:
-    lc = decoder.SpectrogramDecoder(
-        decoder.DecoderConfig("lconv", 2, 4, 3, 16, 8), np.random.default_rng(22)) \
-        .finalize_names("lconv_decoder.")
-    tf = decoder.SpectrogramDecoder(
-        decoder.DecoderConfig("transformer", 2, 4, 3, 16, 8), np.random.default_rng(23)) \
+    lc = decoder.SpectrogramDecoder("lconv", 16, 8, blocks=2, heads=4, kernel_size=3,
+                                    rng=np.random.default_rng(22)).finalize_names("lconv_decoder.")
+    tf = decoder.SpectrogramDecoder("transformer", 16, 8, blocks=2, heads=4, kernel_size=3,
+                                    rng=np.random.default_rng(23)) \
         .finalize_names("transformer_decoder.")
     x = Tensor(np.random.default_rng(24).normal(size=(2, 6, 16)))
     mask = np.ones((2, 6))

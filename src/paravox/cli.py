@@ -12,18 +12,17 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .bench import BENCH_KINDS, format_csv, run_benchmark
+from .bench import BENCH_KINDS, HEADS, format_csv, run_benchmark
 from .checks import REGISTRY, run_checks
 from .decoder import KINDS as DECODER_KINDS
 from .errors import (ConfigError, DegenerateSynthesisError, FormatError,
                      TrainingDiverged, VocabularyError)
 from .fileformats import read_arrays, write_mel, write_mel_text
 from .model import VARIANTS, SynthesisModel
-from .training import TrainConfig, evaluate, parse_config_file, train
+from .training import TrainConfig, evaluate, read_settings, train, write_settings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,35 +73,15 @@ def _prepare_out_dir(path: str, force: bool) -> Path:
 
 # -- gen ---------------------------------------------------------------------------
 
-def _corpus_spec_from_file(path: str | None) -> corpus_mod.CorpusSpec:
-    if path is None:
-        return corpus_mod.CorpusSpec()
-    mapping = parse_config_file(path)
-    known = {f.name: f.type for f in fields(corpus_mod.CorpusSpec)}
-    problems = []
-    kwargs = {}
-    for key, raw in mapping.items():
-        if key not in known:
-            problems.append(f"unknown corpus key {key!r}")
-            continue
-        caster = float if known[key] in ("float",) else int
-        try:
-            kwargs[key] = caster(raw)
-        except ValueError:
-            problems.append(f"{key}: expected a number, got {raw!r}")
-    if problems:
-        raise ConfigError(problems)
-    spec = corpus_mod.CorpusSpec(**kwargs)
-    problems = spec.validate()
-    if problems:
-        raise ConfigError(problems)
-    return spec
-
-
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    spec = _corpus_spec_from_file(args.spec)
+    spec = corpus_mod.CorpusSpec()
+    if args.spec:
+        spec = read_settings(args.spec, corpus_mod.CorpusSpec)
+    problems = spec.validate()
+    if problems:
+        raise ConfigError(problems)
     started = time.time()
     out = _prepare_out_dir(args.out, args.force)
     utterances = corpus_mod.generate(spec, args.count)
@@ -155,11 +134,8 @@ def cmd_train(args) -> int:
         raise ConfigError(problems)
     started = time.time()
     out = _prepare_out_dir(args.out, args.force)
-    (out / "config.txt").write_text(
-        "\n".join(f"{k} = {v}" for k, v in cfg.to_mapping().items()) + "\n")
-    (out / "dataset.txt").write_text(
-        f"frame_rate = {header.frame_rate}\nmel_bins = {header.mel_bins}\n"
-        f"vocab_size = {header.vocab_size}\nnum_speakers = {header.num_speakers}\n")
+    write_settings(out / "config.txt", cfg)
+    write_settings(out / "dataset.txt", header)
     corpus_mod.write_inventory(out / "phonemes.txt", vocabulary)
     result = train(cfg, utterances, out, frame_rate=header.frame_rate,
                    mel_bins=header.mel_bins, vocab_size=header.vocab_size,
@@ -167,7 +143,7 @@ def cmd_train(args) -> int:
                    resume_from=args.resume, log=print)
     metrics = evaluate(result["state"].model, utterances, mode="teacher",
                        batch_size=cfg.batch_size)
-    write_manifest(out, "train", cfg.to_mapping(), cfg.seed, started, metrics)
+    write_manifest(out, "train", vars(cfg), cfg.seed, started, metrics)
     print("teacher-mode evaluation:", json.dumps(metrics))
     return EXIT_OK
 
@@ -184,17 +160,17 @@ def _model_from_run_dir(ckpt_path: str) -> tuple[SynthesisModel, list[str], Trai
         if not required.exists():
             raise FormatError(f"missing run file {required}")
     cfg = TrainConfig.from_file(config_path)
-    dataset = parse_config_file(dataset_path)
+    dataset = read_settings(dataset_path, corpus_mod.CorpusHeader)
     vocabulary = corpus_mod.read_inventory(inventory_path)
-    model_cfg = cfg.model_config(int(dataset["vocab_size"]), int(dataset["num_speakers"]),
-                                 int(dataset["mel_bins"]), float(dataset["frame_rate"]))
+    model_cfg = cfg.model_config(dataset.vocab_size, dataset.num_speakers, dataset.mel_bins,
+                                 dataset.frame_rate)
     if len(vocabulary) != model_cfg.vocab_size:
         raise FormatError(
             f"inventory lists {len(vocabulary)} symbols but dataset.txt says "
             f"{model_cfg.vocab_size}")
     problems = model_cfg.validate()
     if problems:
-        raise ConfigError([f"{config_path}: {p}" for p in problems])
+        raise ConfigError([f"{config_path} with {dataset_path.name}: {p}" for p in problems])
     model = SynthesisModel.build(model_cfg, cfg.seed)
     try:
         model.load_state_arrays(read_arrays(ckpt))
@@ -237,15 +213,23 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     kinds = [k.strip() for k in args.decoder.split(",")]
-    for kind in kinds:
-        if kind not in BENCH_KINDS:
-            raise UsageError(f"unknown decoder {kind!r}; choose from {','.join(BENCH_KINDS)}")
     frames = args.frames.split(",")
+    problems = [f"unknown decoder {kind!r}; choose from {','.join(BENCH_KINDS)}"
+                for kind in kinds if kind not in BENCH_KINDS]
     if not all(f.strip().isdecimal() and int(f) > 0 for f in frames):
-        raise UsageError(f"--frames must be comma-separated positive integers, got {args.frames!r}")
-    frames = [int(f) for f in frames]
+        problems.append(f"--frames must be comma-separated positive integers, got {args.frames!r}")
     if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
+        problems.append("--repeats must be >= 1")
+    if args.d_model < 1 or args.d_model % HEADS:
+        problems.append(f"--d-model must be a positive multiple of the {HEADS} heads, "
+                        f"got {args.d_model}")
+    if args.blocks < 1:
+        problems.append(f"--blocks must be at least 1, got {args.blocks}")
+    if args.kernel < 1 or args.kernel % 2 == 0:
+        problems.append(f"--kernel must be odd and at least 1, got {args.kernel}")
+    if problems:
+        raise UsageError("; ".join(problems))
+    frames = [int(f) for f in frames]
     rows = run_benchmark(kinds, frames, repeats=args.repeats, d_model=args.d_model,
                          blocks=args.blocks, kernel_size=args.kernel)
     csv = format_csv(rows)

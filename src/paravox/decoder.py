@@ -8,8 +8,6 @@ only the last head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as pt
@@ -21,44 +19,19 @@ from .tensor import Tensor
 KINDS = ("lconv", "transformer")
 
 
-@dataclass
-class DecoderConfig:
-    kind: str = "lconv"        # lconv | transformer
-    num_blocks: int = 6
-    heads: int = 8
-    kernel_size: int = 17      # lconv only
-    d_model: int = 160
-    mel_bins: int = 128
-    dropout: float = 0.1
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.kind not in KINDS:
-            problems.append(f"decoder kind must be one of {KINDS}, got {self.kind!r}")
-        if self.d_model % self.heads != 0:
-            problems.append(f"heads ({self.heads}) must divide decoder d_model ({self.d_model})")
-        for field in ("num_blocks", "heads", "d_model", "mel_bins"):
-            if getattr(self, field) <= 0:
-                problems.append(f"decoder {field} must be positive")
-        return problems
-
-
 class SpectrogramDecoder(Module):
-    def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
-        problems = cfg.validate()
-        if problems:
-            raise ShapeError("; ".join(problems))
-        self.cfg = cfg
-        if cfg.kind == "lconv":
+    def __init__(self, kind: str, d_model: int, mel_bins: int, blocks: int, heads: int,
+                 kernel_size: int, rng: np.random.Generator, dropout: float = 0.1):
+        if kind not in KINDS:
+            raise ShapeError(f"decoder kind must be one of {KINDS}, got {kind!r}")
+        self.d_model = d_model
+        if kind == "lconv":
             self.blocks = ModuleList(
-                LConvBlock(cfg.d_model, cfg.heads, cfg.kernel_size, rng, cfg.dropout)
-                for _ in range(cfg.num_blocks))
+                LConvBlock(d_model, heads, kernel_size, rng, dropout) for _ in range(blocks))
         else:
             self.blocks = ModuleList(
-                TransformerBlock(cfg.d_model, cfg.heads, rng, cfg.dropout)
-                for _ in range(cfg.num_blocks))
-        self.projections = ModuleList(
-            Linear(cfg.d_model, cfg.mel_bins, rng) for _ in range(cfg.num_blocks))
+                TransformerBlock(d_model, heads, rng, dropout) for _ in range(blocks))
+        self.projections = ModuleList(Linear(d_model, mel_bins, rng) for _ in range(blocks))
 
     def __call__(self, x: Tensor, frame_mask=None, training: bool = False, rng=None) -> list[Tensor]:
         preds = []

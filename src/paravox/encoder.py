@@ -12,35 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as pt
-from .blocks import ConvBlock, TransformerBlock, apply_mask, sinusoidal_embedding
+from .blocks import (ConvBlock, TransformerBlock, apply_mask, repeat_over_positions,
+                     sinusoidal_embedding)
 from .errors import VocabularyError
 from .module import Module, ModuleList
 from .tensor import Parameter, Tensor
-
-
-@dataclass
-class EncoderConfig:
-    vocab_size: int
-    d_model: int = 64
-    conv_blocks: int = 3
-    conv_kernel: int = 5
-    transformer_blocks: int = 6
-    heads: int = 8
-    num_speakers: int = 4
-    speaker_dim: int = 64
-    dropout: float = 0.1
-
-    def validate(self) -> list[str]:
-        problems = []
-        for field in ("vocab_size", "d_model", "conv_blocks", "conv_kernel",
-                      "transformer_blocks", "heads", "num_speakers", "speaker_dim"):
-            if getattr(self, field) <= 0:
-                problems.append(f"{field} must be positive, got {getattr(self, field)}")
-        if self.d_model % 2 != 0:
-            problems.append(f"d_model must be even for sinusoidal positions, got {self.d_model}")
-        if self.d_model % self.heads != 0:
-            problems.append(f"heads ({self.heads}) must divide d_model ({self.d_model})")
-        return problems
 
 
 @dataclass
@@ -50,32 +26,33 @@ class EncoderOutput:
 
 
 class TextEncoder(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.cfg = cfg
+    def __init__(self, vocab_size: int, d_model: int, heads: int, conv_blocks: int,
+                 conv_kernel: int, transformer_blocks: int, rng: np.random.Generator,
+                 dropout: float = 0.1):
+        self.vocab_size = vocab_size
+        self.d_model = d_model
         self.embedding = Parameter(
-            rng.normal(0.0, cfg.d_model ** -0.5, size=(cfg.vocab_size, cfg.d_model)), "embedding")
+            rng.normal(0.0, d_model ** -0.5, size=(vocab_size, d_model)), "embedding")
         self.convs = ModuleList(
-            ConvBlock(cfg.d_model, cfg.d_model, cfg.conv_kernel, rng, cfg.dropout)
-            for _ in range(cfg.conv_blocks))
+            ConvBlock(d_model, d_model, conv_kernel, rng, dropout) for _ in range(conv_blocks))
         self.transformers = ModuleList(
-            TransformerBlock(cfg.d_model, cfg.heads, rng, cfg.dropout)
-            for _ in range(cfg.transformer_blocks))
+            TransformerBlock(d_model, heads, rng, dropout) for _ in range(transformer_blocks))
 
     def __call__(self, phoneme_ids: np.ndarray, token_mask=None,
                  training: bool = False, rng=None) -> EncoderOutput:
         ids = np.asarray(phoneme_ids)
-        bad = np.argwhere((ids < 0) | (ids >= self.cfg.vocab_size))
+        bad = np.argwhere((ids < 0) | (ids >= self.vocab_size))
         if bad.size:
             b, n = bad[0]
             raise VocabularyError(
-                f"phoneme id {ids[b, n]} at batch {b}, token {n} outside vocabulary of size {self.cfg.vocab_size}")
+                f"phoneme id {ids[b, n]} at batch {b}, token {n} outside vocabulary of size {self.vocab_size}")
         if token_mask is None:
             token_mask = np.ones(ids.shape, dtype=float)
         x = apply_mask(pt.gather_rows(self.embedding, ids), token_mask)
         for conv in self.convs:
             x = conv(x, token_mask, training, rng)
         positions = np.broadcast_to(np.arange(ids.shape[1], dtype=float), ids.shape)
-        x = x + sinusoidal_embedding(positions, self.cfg.d_model)
+        x = x + sinusoidal_embedding(positions, self.d_model)
         x = apply_mask(x, token_mask)
         for block in self.transformers:
             x = block(x, token_mask, training, rng)
@@ -103,9 +80,8 @@ def attach_conditioning(enc: EncoderOutput, speaker_emb: Tensor, latent: Tensor)
     [B, N, L] is used as-is.  No projection follows: downstream modules take
     d_model + speaker_dim + L channels.
     """
-    b, n, _ = enc.phonemes.shape
-    spk = pt.expand(pt.reshape(speaker_emb, (b, 1, speaker_emb.shape[-1])),
-                    (b, n, speaker_emb.shape[-1]))
+    n = enc.phonemes.shape[1]
+    spk = repeat_over_positions(speaker_emb, n)
     if latent.ndim == 2:
-        latent = pt.expand(pt.reshape(latent, (b, 1, latent.shape[-1])), (b, n, latent.shape[-1]))
+        latent = repeat_over_positions(latent, n)
     return pt.concat([enc.phonemes, spk, latent], axis=2)

@@ -20,11 +20,11 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as pt
-from .decoder import (DecoderConfig, SpectrogramDecoder, iterative_spec_loss,
-                      single_spec_loss)
+from .decoder import KINDS as DECODER_KINDS
+from .decoder import SpectrogramDecoder, iterative_spec_loss, single_spec_loss
 from .duration import (DurationPrediction, DurationPredictor, DurationTarget, duration_loss,
                        finalize_durations)
-from .encoder import EncoderConfig, EncoderOutput, SpeakerTable, TextEncoder, attach_conditioning
+from .encoder import EncoderOutput, SpeakerTable, TextEncoder, attach_conditioning
 from .errors import ShapeError, VocabularyError
 from .module import Module, RandomSource
 from .tensor import Tensor
@@ -78,31 +78,49 @@ class ModelConfig(ModelHyperparams):
     def d_cond(self) -> int:
         return self.d_model + self.speaker_dim + self.latent_proj_dim
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(self.vocab_size, self.d_model, self.enc_conv_blocks,
-                             self.enc_conv_kernel, self.enc_transformer_blocks,
-                             self.enc_heads, self.num_speakers, self.speaker_dim,
-                             self.dropout)
-
-    def decoder_config(self) -> DecoderConfig:
-        return DecoderConfig(self.decoder, self.dec_blocks, self.dec_heads,
-                             self.dec_kernel, self.d_cond, self.mel_bins, self.dropout)
-
     def validate(self) -> list[str]:
-        problems = self.encoder_config().validate()
-        problems += self.decoder_config().validate()
+        """Every problem with this configuration, named by its config.txt keys."""
+        problems = []
         if self.variant not in VARIANTS:
             problems.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.d_cond % self.dur_heads != 0:
-            problems.append(f"dur_heads ({self.dur_heads}) must divide d_cond ({self.d_cond})")
+        if self.decoder not in DECODER_KINDS:
+            problems.append(f"decoder must be one of {DECODER_KINDS}, got {self.decoder!r}")
+        # (head count, the channels it splits, their width); kernels must be odd
+        # because every convolution window is centered
+        heads = [("enc_heads", "d_model", self.d_model), ("dur_heads", "d_cond", self.d_cond),
+                 ("dec_heads", "d_cond", self.d_cond)]
+        kernels = ["enc_conv_kernel", "dur_kernel"]
+        if self.decoder == "lconv":
+            kernels.append("dec_kernel")
+        if self.variant == "global":
+            heads.append(("post_heads", "mel_bins", self.mel_bins))
+            kernels.append("post_kernel")
+        counts = ["vocab_size", "num_speakers", "mel_bins", "d_model", "speaker_dim", "d_cond",
+                  "latent_dim", "latent_proj_dim", "enc_conv_blocks", "enc_transformer_blocks",
+                  "dec_blocks"]
+        if self.variant == "fine":
+            heads.append(("fine_heads", "fine_width", self.fine_width))
+            kernels.append("fine_kernel")
+            counts += ["fine_width", "prior_hidden"]
+        for name in counts + [h for h, _, _ in heads] + kernels:
+            if getattr(self, name) <= 0:
+                problems.append(f"{name} must be positive, got {getattr(self, name)}")
+        for name, channels, width in heads:
+            count = getattr(self, name)
+            if count > 0 and width % count != 0:
+                problems.append(f"{name} ({count}) must divide {channels} ({width})")
+        for name in kernels:
+            width = getattr(self, name)
+            if width > 0 and width % 2 == 0:
+                problems.append(f"{name} must be odd for a centered window, got {width}")
+        if self.d_model % 2 != 0:
+            problems.append(f"d_model ({self.d_model}) must be even for sinusoidal positions")
         if self.d_cond % 2 != 0:
             problems.append(f"d_cond ({self.d_cond}) must be even for positional features")
-        if self.variant == "global" and self.mel_bins % self.post_heads != 0:
-            problems.append(f"post_heads ({self.post_heads}) must divide mel_bins ({self.mel_bins})")
-        if self.variant == "fine" and self.fine_width % self.fine_heads != 0:
-            problems.append(f"fine_heads ({self.fine_heads}) must divide fine_width ({self.fine_width})")
         if self.frame_rate <= 0:
             problems.append("frame_rate must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            problems.append(f"dropout must lie in [0, 1), got {self.dropout}")
         return problems
 
 
@@ -148,7 +166,9 @@ class SynthesisModel(Module):
         if problems:
             raise ShapeError("; ".join(problems))
         self.cfg = cfg
-        self.encoder = TextEncoder(cfg.encoder_config(), rng)
+        self.encoder = TextEncoder(cfg.vocab_size, cfg.d_model, cfg.enc_heads,
+                                   cfg.enc_conv_blocks, cfg.enc_conv_kernel,
+                                   cfg.enc_transformer_blocks, rng, cfg.dropout)
         self.speakers = SpeakerTable(cfg.num_speakers, cfg.speaker_dim, rng)
         if cfg.variant == "global":
             self.posterior = GlobalPosterior(cfg.mel_bins, cfg.post_heads, cfg.post_kernel,
@@ -167,7 +187,8 @@ class SynthesisModel(Module):
         self.duration_predictor = DurationPredictor(cfg.d_cond, cfg.dur_heads, rng,
                                                     cfg.dur_blocks, cfg.dur_kernel, cfg.dropout)
         self.combiner = FeatureCombiner(cfg.d_cond, rng)
-        self.decoder = SpectrogramDecoder(cfg.decoder_config(), rng)
+        self.decoder = SpectrogramDecoder(cfg.decoder, cfg.d_cond, cfg.mel_bins, cfg.dec_blocks,
+                                          cfg.dec_heads, cfg.dec_kernel, rng, cfg.dropout)
         self.finalize_names()
 
     @classmethod
@@ -263,16 +284,13 @@ class SynthesisModel(Module):
     def synthesize(self, tokens: np.ndarray, speaker: int):
         """Full inference: text -> durations -> frames -> mel. Returns (mel, frames).
 
-        Raises VocabularyError for an empty token sequence or an id outside the
-        inventory.
+        Raises VocabularyError for an empty token sequence or, from the encoder,
+        for an id outside the inventory.
         """
         cfg = self.cfg
         tokens = np.asarray(tokens, dtype=int).reshape(1, -1)
         if tokens.size == 0:
             raise VocabularyError("nothing to synthesize: the token sequence is empty")
-        if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-            raise VocabularyError(f"token ids must lie in [0, {cfg.vocab_size}), "
-                                  f"got {tokens.min()}..{tokens.max()}")
         dur_pred = self.predict_durations_free(tokens, np.array([speaker]))
         frames = finalize_durations(dur_pred.p_z.data, dur_pred.seconds.data, cfg.frame_rate)
         with pt.no_grad():

@@ -16,7 +16,8 @@ before the momentum update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -167,50 +168,38 @@ class TrainConfig(ModelHyperparams):
     @classmethod
     def from_mapping(cls, mapping: dict[str, str], overrides: dict | None = None) -> "TrainConfig":
         """Build from string key/values (config file), collecting every problem."""
-        problems = []
-        known = {f.name: f for f in fields(cls)}
-        values = {}
-        for key, raw in mapping.items():
-            if key not in known:
-                problems.append(f"unknown config key {key!r}")
-                continue
-            try:
-                values[key] = _coerce(raw, known[key].type)
-            except ValueError as exc:
-                problems.append(f"{key}: {exc}")
+        values = typed_fields(cls, mapping)
         provided = set(values)
         if overrides:
             values.update(overrides)
             provided |= set(overrides)
-        cfg = cls(**values) if not problems else None
-        if cfg is not None:
-            for name, allowed in _ENUMS.items():
-                if getattr(cfg, name) not in allowed:
-                    problems.append(f"{name} must be one of {allowed}, got {getattr(cfg, name)!r}")
-            if not cfg.warmup_steps <= cfg.decay_start < cfg.decay_end:
+        cfg = cls(**values)
+        problems = []
+        for name, allowed in _ENUMS.items():
+            if getattr(cfg, name) not in allowed:
+                problems.append(f"{name} must be one of {allowed}, got {getattr(cfg, name)!r}")
+        if not cfg.warmup_steps <= cfg.decay_start < cfg.decay_end:
+            problems.append(
+                f"need warmup_steps <= decay_start < decay_end, got "
+                f"{cfg.warmup_steps}/{cfg.decay_start}/{cfg.decay_end}")
+        for positive in ("base_lr", "clip_norm", "batch_size", "total_steps", "warmup_steps"):
+            if getattr(cfg, positive) <= 0:
+                problems.append(f"{positive} must be positive")
+        if cfg.variant == "fine":
+            missing = [k for k in ("kl_beta_start", "kl_beta_end") if k not in provided]
+            if missing:
                 problems.append(
-                    f"need warmup_steps <= decay_start < decay_end, got "
-                    f"{cfg.warmup_steps}/{cfg.decay_start}/{cfg.decay_end}")
-            for positive in ("base_lr", "clip_norm", "batch_size", "total_steps", "warmup_steps"):
-                if getattr(cfg, positive) <= 0:
-                    problems.append(f"{positive} must be positive")
-            if cfg.variant == "fine":
-                missing = [k for k in ("kl_beta_start", "kl_beta_end") if k not in provided]
-                if missing:
-                    problems.append(
-                        f"fine variant requires explicit KL schedule keys: missing {missing}")
-                elif not cfg.kl_beta_start < cfg.kl_beta_end:
-                    problems.append("kl_beta_start must be < kl_beta_end")
+                    f"fine variant requires explicit KL schedule keys: missing {missing}")
+            elif not cfg.kl_beta_start < cfg.kl_beta_end:
+                problems.append("kl_beta_start must be < kl_beta_end")
         if problems:
             raise ConfigError(problems)
         return cfg
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "TrainConfig":
-        return cls.from_mapping(parse_config_file(path), overrides)
-
-    def to_mapping(self) -> dict[str, str]:
-        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
+        with _naming(path):
+            return cls.from_mapping(parse_config_file(path), overrides)
 
     def model_config(self, vocab_size: int, num_speakers: int, mel_bins: int,
                      frame_rate: float) -> ModelConfig:
@@ -246,9 +235,12 @@ def _coerce(raw: str, annotation) -> object:
             raise ValueError(f"expected an integer, got {raw!r}")
     if kind == "float":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ValueError(f"expected a number, got {raw!r}")
+        if not np.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     return raw
 
 
@@ -268,6 +260,52 @@ def parse_config_file(path) -> dict[str, str]:
     if problems:
         raise ConfigError(problems)
     return mapping
+
+
+def typed_fields(cls, mapping: dict[str, str]) -> dict:
+    """Keyword arguments for dataclass ``cls`` from string key/values.
+
+    Each value is coerced to its field's declared type.  Unknown keys, values
+    that do not coerce and missing keys of fields without a default are
+    reported together in one ConfigError.
+    """
+    known = {f.name: f for f in fields(cls)}
+    problems = [f"unknown key {key!r}" for key in mapping if key not in known]
+    values = {}
+    for key, raw in mapping.items():
+        if key in known:
+            try:
+                values[key] = _coerce(raw, known[key].type)
+            except ValueError as exc:
+                problems.append(f"{key}: {exc}")
+    missing = [name for name, f in known.items() if name not in mapping
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        problems.append(f"missing required keys {missing}")
+    if problems:
+        raise ConfigError(problems)
+    return values
+
+
+@contextmanager
+def _naming(path):
+    """Prefix every problem of a ConfigError raised inside with ``path``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError([f"{path}: {p}" for p in exc.problems]) from None
+
+
+def read_settings(path, cls):
+    """Read a ``key = value`` file into dataclass ``cls``; every problem names the file."""
+    with _naming(path):
+        return cls(**typed_fields(cls, parse_config_file(path)))
+
+
+def write_settings(path, settings) -> None:
+    """Write a dataclass as ``key = value`` lines in field order, as read_settings reads them."""
+    Path(path).write_text("".join(f"{f.name} = {getattr(settings, f.name)}\n"
+                                  for f in fields(settings)))
 
 
 # -- training loop -------------------------------------------------------------------

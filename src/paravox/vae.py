@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as pt
-from .blocks import LConvBlock, LayerNorm, apply_mask, conv1d
+from .blocks import LConvBlock, LayerNorm, apply_mask, conv1d, repeat_over_positions
 from .errors import ShapeError
 from .module import Linear, Module, ModuleList, glorot
 from .tensor import Parameter, Tensor
@@ -90,16 +90,17 @@ class GlobalPosterior(Module):
         lengths = mask.sum(axis=1).astype(int)
         if mel.shape[1] == 0 or np.any(lengths == 0):
             raise ShapeError("global posterior requires at least one valid frame per utterance")
+        # every LConvBlock zeroes its masked rows on exit, so the strided convs
+        # and the pooling below read zero padding without masking again
         x = apply_mask(mel, mask)
         for block in self.pre:
             x = block(x, mask, training, rng)
         for conv, block in zip(self.stride_convs, self.strided):
-            x = conv1d(apply_mask(x, mask), conv.weight, conv.bias, stride=2)
+            x = conv1d(x, conv.weight, conv.bias, stride=2)
             lengths = -(-lengths // 2)
             t = x.shape[1]
             mask = (np.arange(t)[None, :] < lengths[:, None]).astype(float)
             x = block(x, mask, training, rng)
-        x = apply_mask(x, mask)
         pooled = x.sum(axis=1) / mask.sum(axis=1, keepdims=True)
         return LatentPosterior(self.mean_proj(pooled), self.logvar_proj(pooled))
 
@@ -130,14 +131,13 @@ class FinePosterior(Module):
 
     def __call__(self, mel: Tensor, pos_feats, speaker_emb: Tensor, enc,
                  training: bool = False, rng=None, return_weights: bool = False):
-        b, t, _ = mel.shape
+        t = mel.shape[1]
         if pos_feats.within.shape[1] != t:
             raise ShapeError(
                 f"mel has {t} frames but duration-derived positional features have "
                 f"{pos_feats.within.shape[1]}")
         frame_mask = pos_feats.frame_mask
-        spk = pt.expand(pt.reshape(speaker_emb, (b, 1, speaker_emb.shape[-1])),
-                        (b, t, speaker_emb.shape[-1]))
+        spk = repeat_over_positions(speaker_emb, t)
         x = pt.concat([mel, pos_feats.within, pos_feats.duration, pos_feats.fraction, spk], axis=2)
         x = self.in_proj(apply_mask(x, frame_mask))
         for block in self.blocks:
@@ -184,9 +184,7 @@ class FinePriorLSTM(Module):
         if teacher_means is None:
             raise ValueError("training the learned prior requires teacher latents (posterior means)")
         teacher = pt.stop_gradient(teacher_means)
-        b, n_tokens, _ = enc.phonemes.shape
-        spk = pt.expand(pt.reshape(speaker_emb, (b, 1, speaker_emb.shape[-1])),
-                        (b, n_tokens, speaker_emb.shape[-1]))
+        spk = repeat_over_positions(speaker_emb, enc.phonemes.shape[1])
         prev = np.pad(teacher.data[:, :-1], ((0, 0), (1, 0), (0, 0)))
         hidden = pt.lstm(pt.concat([spk, enc.phonemes, prev], axis=2), self.w_x, self.w_h, self.b)
         preds = self.out_proj(hidden)
@@ -241,7 +239,5 @@ class LatentProjector(Module):
     def __call__(self, latent: Tensor, speaker_emb: Tensor | None = None, enc=None) -> Tensor:
         if not self.fine:
             return self.proj(latent)
-        b, n, _ = latent.shape
-        spk = pt.expand(pt.reshape(speaker_emb, (b, 1, speaker_emb.shape[-1])),
-                        (b, n, speaker_emb.shape[-1]))
+        spk = repeat_over_positions(speaker_emb, latent.shape[1])
         return self.proj(pt.concat([latent, spk, enc.phonemes], axis=2))

@@ -252,8 +252,7 @@ def test_iterative_loss_decomposition_identity():
 
 def test_speed_ordering_table_analogue():
     par_ms, par_madds = None, None
-    dec_lc = decoder.SpectrogramDecoder(bench.bench_decoder_config("lconv"),
-                                        np.random.default_rng(0))
+    dec_lc = bench.bench_decoder("lconv")
     par_s, par_madds = bench.parallel_pass(dec_lc, 1600)
     ar_s, ar_madds = bench.ar_sim_pass(dec_lc, 1600)
     ratio = ar_madds / par_madds

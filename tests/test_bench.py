@@ -5,10 +5,8 @@ from paravox import bench
 
 
 def test_receptive_field():
-    cfg = bench.bench_decoder_config("lconv", blocks=2, kernel_size=17)
-    assert bench.receptive_field(cfg) == 33
-    cfg6 = bench.bench_decoder_config("lconv", blocks=6, kernel_size=17)
-    assert bench.receptive_field(cfg6) == 97
+    assert bench.receptive_field(2, 17) == 33
+    assert bench.receptive_field(6, 17) == 97
 
 
 def test_lconv_op_count_exactly_affine_in_frames():

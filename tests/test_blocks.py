@@ -103,13 +103,15 @@ def test_lconv_parameter_count_ratio():
     assert standard / light > 2000
 
 
-def test_lconv_masked_positions_emit_zero():
+def test_lconv_masked_positions_do_not_contribute():
     rng = np.random.default_rng(2)
     conv = blocks.LightweightConv(4, 2, 3, rng)
-    x = Tensor(rng.normal(size=(1, 5, 4)))
+    x = rng.normal(size=(1, 5, 4))
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-    out = conv(x, mask)
-    assert np.allclose(out.data[0, 3:], 0.0)
+    out = conv(Tensor(x), mask)
+    x[0, 3:] = rng.normal(size=(2, 4)) * 100.0
+    changed = conv(Tensor(x), mask)
+    assert np.array_equal(changed.data[0, :3], out.data[0, :3])
 
 
 # -- LConv block -----------------------------------------------------------------

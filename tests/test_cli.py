@@ -1,11 +1,15 @@
 import json
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from paravox.cli import EXIT_CHECK, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from paravox.corpus import CorpusHeader, read_corpus
 from paravox.fileformats import read_mel
+from paravox.training import TrainConfig, read_settings
 
 from conftest import TINY_TRAIN_KW
 
@@ -68,6 +72,15 @@ def test_gen_bad_spec_key_is_config_error(tmp_path):
     spec.write_text("bogus_key = 3\nmel_bins = owl\n")
     rc = main(["gen", "--spec", str(spec), "--count", "2", "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
+
+
+def test_gen_spec_integer_field_rejects_a_float(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("seed = 1.0\n")
+    rc = main(["gen", "--spec", str(spec), "--count", "2", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "seed: expected an integer" in err and str(spec) in err
 
 
 @pytest.mark.parametrize("text, named", [
@@ -224,6 +237,53 @@ def test_synth_validates_run_config(tmp_path, corpus_dir, capsys):
     assert "dur_heads (7)" in err and "heads (3)" in err and str(config) in err
 
 
+@pytest.fixture(scope="module")
+def novae_run(tmp_path_factory):
+    """A two-step novae run directory; tests copy it before editing."""
+    root = tmp_path_factory.mktemp("novae_run")
+    corpus = root / "corpus"
+    spec = write_tiny_corpus_spec(root / "corpus.spec")
+    assert main(["gen", "--spec", str(spec), "--count", "6", "--out", str(corpus)]) == EXIT_OK
+    cfg = write_tiny_train_config(root / "run.cfg", total_steps=2)
+    run = root / "run"
+    assert main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                 "--variant", "novae", "--out", str(run)]) == EXIT_OK
+    return corpus, run
+
+
+def test_train_writes_settings_that_read_back(novae_run):
+    corpus, run = novae_run
+    expected = TrainConfig(**dict(TINY_TRAIN_KW, total_steps=2, batch_size=4, variant="novae"))
+    assert (run / "config.txt").read_text() == "".join(
+        f"{f.name} = {getattr(expected, f.name)}\n" for f in fields(TrainConfig))
+    assert TrainConfig.from_file(run / "config.txt") == expected
+    _, header = read_corpus(corpus / "corpus.bin")
+    assert (run / "dataset.txt").read_text() == (
+        "frame_rate = 80.0\nmel_bins = 8\nvocab_size = 28\nnum_speakers = 3\n")
+    assert read_settings(run / "dataset.txt", CorpusHeader) == header
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text.replace("vocab_size = 28\n", ""), "missing required keys ['vocab_size']"),
+    (lambda text: text.replace("mel_bins = 8", "mel_bins = eight"), "mel_bins: expected an integer"),
+    (lambda text: text + "sample_rate = 16000\n", "unknown key 'sample_rate'"),
+    (lambda text: text.replace("frame_rate = 80.0", "frame_rate = nan"),
+     "frame_rate: expected a finite number"),
+], ids=["missing-key", "not-a-number", "unknown-key", "not-finite"])
+def test_synth_rejects_bad_dataset_file(tmp_path, novae_run, capsys, edit, named):
+    run = shutil.copytree(novae_run[1], tmp_path / "run")
+    dataset = run / "dataset.txt"
+    dataset.write_text(edit(dataset.read_text()))
+    out = tmp_path / "synth"
+    capsys.readouterr()
+    rc = main(["synth", "--ckpt", str(run / "model.ckpt"), "--text", "aa b",
+               "--speaker", "0", "--out", str(out / "x.mel")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(dataset) in err and named in err
+    assert not out.exists()
+
+
 def test_train_resume_reproduces_trajectory(tmp_path, corpus_dir):
     cfg_full = write_tiny_train_config(tmp_path / "full.cfg", total_steps=12)
     run_a = tmp_path / "run_a"
@@ -293,6 +353,19 @@ def test_bench_csv_and_validation(tmp_path, capsys):
     assert rc == EXIT_USAGE
     rc = main(["bench", "--frames", "8", "--repeats", "0", "--d-model", "16"])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--d-model", "7"], ["--d-model"]),
+    (["--blocks", "0"], ["--blocks"]),
+    (["--kernel", "4"], ["--kernel"]),
+    (["--d-model", "0", "--blocks", "-1", "--kernel", "0"], ["--d-model", "--blocks", "--kernel"]),
+], ids=["d-model", "blocks", "kernel", "all-three"])
+def test_bench_rejects_bad_sizes_together(flags, named, capsys):
+    rc = main(["bench", "--decoder", "ar-sim", "--frames", "8", "--repeats", "1"] + flags)
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and all(flag in err for flag in named)
 
 
 @pytest.mark.parametrize("frames", ["abc", "-3", "0", "8,0", "8,", ""])

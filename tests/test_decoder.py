@@ -3,6 +3,7 @@ import pytest
 
 import paravox.tensor as pt
 from paravox import decoder
+from paravox.errors import ShapeError
 from paravox.gradcheck import grad_check
 from paravox.tensor import Tensor
 
@@ -14,9 +15,8 @@ def high_precision():
 
 
 def make_decoder(kind="lconv", blocks=3, d=8, mel=6, heads=2, k=3, seed=0):
-    cfg = decoder.DecoderConfig(kind=kind, num_blocks=blocks, heads=heads,
-                                kernel_size=k, d_model=d, mel_bins=mel)
-    return decoder.SpectrogramDecoder(cfg, np.random.default_rng(seed)).finalize_names("dec.")
+    return decoder.SpectrogramDecoder(kind, d, mel, blocks, heads, k,
+                                      np.random.default_rng(seed)).finalize_names("dec.")
 
 
 def test_decode_output_list_shapes():
@@ -141,14 +141,13 @@ def test_projections_are_independent_per_block():
     assert changed[1] != pytest.approx(base[1])
 
 
-def test_bad_config_rejected():
-    assert decoder.DecoderConfig(kind="other").validate()
-    assert decoder.DecoderConfig(heads=7, d_model=16).validate()
-    assert not decoder.DecoderConfig(d_model=16, heads=8).validate()
+def test_unknown_kind_rejected():
+    with pytest.raises(ShapeError):
+        make_decoder(kind="other")
 
 
 def opcount(dec, t):
-    x = Tensor(np.random.default_rng(0).normal(size=(1, t, dec.cfg.d_model)))
+    x = Tensor(np.random.default_rng(0).normal(size=(1, t, dec.d_model)))
     pt.reset_madds()
     with pt.no_grad():
         dec(x)

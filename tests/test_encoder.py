@@ -14,19 +14,10 @@ def high_precision():
         yield
 
 
-def make_encoder(vocab=10, d=8, conv=1, tf=1, heads=2, speakers=3, spk_dim=4, seed=0):
-    cfg = encoder.EncoderConfig(vocab_size=vocab, d_model=d, conv_blocks=conv,
-                                conv_kernel=3, transformer_blocks=tf, heads=heads,
-                                num_speakers=speakers, speaker_dim=spk_dim)
-    return encoder.TextEncoder(cfg, np.random.default_rng(seed)).finalize_names("enc.")
-
-
-def test_config_validation():
-    assert not encoder.EncoderConfig(vocab_size=10, d_model=8, heads=2).validate()
-    bad = encoder.EncoderConfig(vocab_size=0, d_model=7, heads=3)
-    problems = bad.validate()
-    assert any("vocab_size" in p for p in problems)
-    assert any("even" in p for p in problems)
+def make_encoder(vocab=10, d=8, conv=1, tf=1, heads=2, seed=0):
+    return encoder.TextEncoder(vocab, d, heads, conv_blocks=conv, conv_kernel=3,
+                               transformer_blocks=tf, rng=np.random.default_rng(seed)) \
+        .finalize_names("enc.")
 
 
 def test_out_of_range_id_rejected_with_index():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,31 @@ def test_config_validation_collects_problems(tiny_spec):
     problems = ModelConfig(**kw).validate()
     assert len(problems) >= 3
     assert any("variant" in p for p in problems)
+
+
+@pytest.mark.parametrize("changes, expected", [
+    ({"d_model": 7}, "d_model (7) must be even"),
+    ({"enc_heads": 3}, "enc_heads (3) must divide d_model (8)"),
+    ({"decoder": "wavenet"}, "decoder must be one of"),
+    ({"dec_heads": 3}, "dec_heads (3) must divide d_cond (16)"),
+    ({"vocab_size": 0}, "vocab_size must be positive"),
+    ({"enc_transformer_blocks": 0}, "enc_transformer_blocks must be positive"),
+    ({"dec_blocks": -1}, "dec_blocks must be positive"),
+    ({"enc_heads": 0}, "enc_heads must be positive"),
+    ({"dur_kernel": 4}, "dur_kernel must be odd"),
+    ({"latent_dim": 0}, "latent_dim must be positive"),
+    ({"variant": "fine", "prior_hidden": 0}, "prior_hidden must be positive"),
+    ({"dropout": 1.0}, "dropout must lie in [0, 1)"),
+], ids=["odd-d_model", "enc_heads", "decoder", "dec_heads", "vocab_size", "enc-blocks",
+        "dec_blocks", "zero-heads", "even-kernel", "latent_dim", "prior_hidden", "dropout"])
+def test_config_validation_names_config_keys(tiny_spec, changes, expected):
+    kw = tiny_model_config_kwargs(tiny_spec)
+    assert not ModelConfig(**kw).validate()
+    kw.update(changes)
+    problems = ModelConfig(**kw).validate()
+    assert any(expected in p for p in problems), problems
+    with pytest.raises(ShapeError, match=re.escape(expected)):
+        SynthesisModel.build(ModelConfig(**kw), 0)
 
 
 def test_parameter_names_unique_and_hierarchical(tiny_spec):
