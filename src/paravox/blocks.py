@@ -30,6 +30,23 @@ def repeat_over_positions(x: Tensor, n: int) -> Tensor:
     return pt.expand(pt.reshape(x, (b, 1, d)), (b, n, d))
 
 
+def attention_weights(q: Tensor, k: Tensor, key_mask=None) -> Tensor:
+    """Scaled dot-product attention weights softmax(q k^T / sqrt(d)) over the keys.
+
+    ``q`` is [..., Tq, d] and ``k`` [..., Tk, d], with 3-D or 4-D operands
+    (batch first, heads next when 4-D).  A [B, Tk] ``key_mask`` (1 = valid)
+    pushes the scores of masked keys a billion below the rest before the
+    softmax, so they get zero weight.
+    """
+    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = pt.matmul(q, pt.transpose(k, axes)) * (q.shape[-1] ** -0.5)
+    if key_mask is not None:
+        neg = (np.asarray(key_mask, dtype=pt.active_dtype()) - 1.0) * 1e9
+        b, tk = neg.shape
+        scores = scores + neg.reshape((b,) + (1,) * (scores.ndim - 2) + (tk,))
+    return pt.softmax(scores, axis=-1)
+
+
 def sinusoidal_embedding(positions, dim: int) -> Tensor:
     """Interleaved sin/cos embedding; accepts real-valued positions.
 
@@ -102,13 +119,13 @@ class LConvBlock(Module):
         self.dim = dim
         self.dropout = dropout
 
-    def __call__(self, x: Tensor, mask=None, training: bool = False, rng=None) -> Tensor:
+    def __call__(self, x: Tensor, mask=None, rng=None) -> Tensor:
         d = self.dim
         g = self.glu_proj(self.norm1(x))
         h = g[:, :, :d] * pt.sigmoid(g[:, :, d:])
         h = self.conv(h, mask)
-        x = x + pt.dropout(h, self.dropout, rng, training)
-        f = pt.dropout(pt.relu(self.ff1(self.norm2(x))), self.dropout, rng, training)
+        x = x + pt.dropout(h, self.dropout, rng)
+        f = pt.dropout(pt.relu(self.ff1(self.norm2(x))), self.dropout, rng)
         x = x + self.ff2(f)
         return apply_mask(x, mask)
 
@@ -126,7 +143,7 @@ class MultiHeadSelfAttention(Module):
         self.heads = heads
         self.dim = dim
 
-    def __call__(self, x: Tensor, mask=None, return_weights: bool = False):
+    def __call__(self, x: Tensor, mask=None) -> Tensor:
         b, t, d = x.shape
         h = self.heads
         dh = d // h
@@ -135,17 +152,8 @@ class MultiHeadSelfAttention(Module):
             return pt.transpose(pt.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
 
         q, k, v = split(self.q(x)), split(self.k(x)), split(self.v(x))
-        scores = pt.matmul(q, pt.transpose(k, (0, 1, 3, 2))) * (dh ** -0.5)
-        if mask is not None:
-            neg = (np.asarray(mask, dtype=pt.active_dtype()) - 1.0) * 1e9
-            scores = scores + neg[:, None, None, :]
-        weights = pt.softmax(scores, axis=-1)
-        ctx = pt.matmul(weights, v)
-        merged = pt.reshape(pt.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-        out = self.out(merged)
-        if return_weights:
-            return out, weights
-        return out
+        ctx = pt.matmul(attention_weights(q, k, mask), v)
+        return self.out(pt.reshape(pt.transpose(ctx, (0, 2, 1, 3)), (b, t, d)))
 
 
 class TransformerBlock(Module):
@@ -159,10 +167,10 @@ class TransformerBlock(Module):
         self.ff2 = Linear(4 * dim, dim, rng)
         self.dropout = dropout
 
-    def __call__(self, x: Tensor, mask=None, training: bool = False, rng=None) -> Tensor:
+    def __call__(self, x: Tensor, mask=None, rng=None) -> Tensor:
         a = self.attn(self.norm1(x), mask)
-        x = x + pt.dropout(a, self.dropout, rng, training)
-        f = pt.dropout(pt.relu(self.ff1(self.norm2(x))), self.dropout, rng, training)
+        x = x + pt.dropout(a, self.dropout, rng)
+        f = pt.dropout(pt.relu(self.ff1(self.norm2(x))), self.dropout, rng)
         x = x + self.ff2(f)
         return apply_mask(x, mask)
 
@@ -180,15 +188,7 @@ class ConvBlock(Module):
         self.norm = LayerNorm(d_out)
         self.dropout = dropout
 
-    def __call__(self, x: Tensor, mask=None, training: bool = False, rng=None) -> Tensor:
+    def __call__(self, x: Tensor, mask=None, rng=None) -> Tensor:
         h = conv1d(apply_mask(x, mask), self.weight, self.bias)
-        h = pt.dropout(pt.relu(self.norm(h)), self.dropout, rng, training)
+        h = pt.dropout(pt.relu(self.norm(h)), self.dropout, rng)
         return apply_mask(h, mask)
-
-
-def lightweight_param_count(heads: int, kernel_size: int) -> int:
-    return heads * kernel_size
-
-
-def standard_conv_param_count(dim: int, kernel_size: int) -> int:
-    return dim * dim * kernel_size

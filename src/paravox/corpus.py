@@ -204,11 +204,16 @@ def symbols_to_tokens(symbols: list[str], vocabulary: list[str]) -> np.ndarray:
 # -- inventory file (one symbol per line; index = line number) ---------------------
 
 def write_inventory(path, vocabulary: list[str]) -> None:
-    Path(path).write_text("\n".join(vocabulary) + "\n")
+    Path(path).write_text("\n".join(vocabulary) + "\n", encoding="utf-8")
 
 
 def read_inventory(path) -> list[str]:
-    return [line for line in Path(path).read_text().splitlines() if line != ""]
+    """One symbol per non-empty line of UTF-8 text; FormatError otherwise."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return [line for line in text.splitlines() if line != ""]
 
 
 # -- corpus container ----------------------------------------------------------------

@@ -33,10 +33,10 @@ class SpectrogramDecoder(Module):
                 TransformerBlock(d_model, heads, rng, dropout) for _ in range(blocks))
         self.projections = ModuleList(Linear(d_model, mel_bins, rng) for _ in range(blocks))
 
-    def __call__(self, x: Tensor, frame_mask=None, training: bool = False, rng=None) -> list[Tensor]:
+    def __call__(self, x: Tensor, frame_mask=None, rng=None) -> list[Tensor]:
         preds = []
         for block, proj in zip(self.blocks, self.projections):
-            x = block(x, frame_mask, training, rng)
+            x = block(x, frame_mask, rng)
             preds.append(proj(x))
         return preds
 

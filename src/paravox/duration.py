@@ -51,30 +51,26 @@ class DurationPredictor(Module):
         self.gate_proj = Linear(d_in, 1, rng)
         self.seconds_proj = Linear(d_in, 1, rng)
 
-    def __call__(self, conditioned: Tensor, token_mask=None,
-                 training: bool = False, rng=None) -> DurationPrediction:
+    def __call__(self, conditioned: Tensor, token_mask=None, rng=None) -> DurationPrediction:
         x = conditioned
         for block in self.blocks:
-            x = block(x, token_mask, training, rng)
+            x = block(x, token_mask, rng)
         b, n, _ = x.shape
         logits = pt.reshape(self.gate_proj(x), (b, n))
         seconds = pt.softplus(pt.reshape(self.seconds_proj(x), (b, n)))
         return DurationPrediction(pt.sigmoid(logits), logits, seconds, x)
 
 
-def finalize_durations(p_z: np.ndarray, seconds: np.ndarray, frame_rate: float,
-                       token_mask=None, threshold: float = GATE_THRESHOLD) -> np.ndarray:
+def finalize_durations(p_z: np.ndarray, seconds: np.ndarray, frame_rate: float) -> np.ndarray:
     """Gate and quantize predicted seconds to integer frames.
 
-    Seconds are zeroed where the gate probability falls below the threshold,
+    Seconds are zeroed where the gate probability falls below GATE_THRESHOLD,
     then converted with cumulative rounding (round half up), so the total
     frame count equals round(rate * total gated seconds) exactly.
     """
     p_z = np.asarray(p_z, dtype=np.float64)
     seconds = np.asarray(seconds, dtype=np.float64)
-    gated = np.where(p_z < threshold, 0.0, seconds)
-    if token_mask is not None:
-        gated = gated * np.asarray(token_mask, dtype=np.float64)
+    gated = np.where(p_z < GATE_THRESHOLD, 0.0, seconds)
     cum = np.cumsum(gated, axis=-1) * float(frame_rate)
     rounded = np.floor(cum + 0.5)
     frames = np.diff(rounded, axis=-1, prepend=0.0).astype(int)

@@ -38,8 +38,7 @@ class TextEncoder(Module):
         self.transformers = ModuleList(
             TransformerBlock(d_model, heads, rng, dropout) for _ in range(transformer_blocks))
 
-    def __call__(self, phoneme_ids: np.ndarray, token_mask=None,
-                 training: bool = False, rng=None) -> EncoderOutput:
+    def __call__(self, phoneme_ids: np.ndarray, token_mask=None, rng=None) -> EncoderOutput:
         ids = np.asarray(phoneme_ids)
         bad = np.argwhere((ids < 0) | (ids >= self.vocab_size))
         if bad.size:
@@ -50,12 +49,12 @@ class TextEncoder(Module):
             token_mask = np.ones(ids.shape, dtype=float)
         x = apply_mask(pt.gather_rows(self.embedding, ids), token_mask)
         for conv in self.convs:
-            x = conv(x, token_mask, training, rng)
+            x = conv(x, token_mask, rng)
         positions = np.broadcast_to(np.arange(ids.shape[1], dtype=float), ids.shape)
         x = x + sinusoidal_embedding(positions, self.d_model)
         x = apply_mask(x, token_mask)
         for block in self.transformers:
-            x = block(x, token_mask, training, rng)
+            x = block(x, token_mask, rng)
         return EncoderOutput(phonemes=x, token_mask=np.asarray(token_mask, dtype=float))
 
 

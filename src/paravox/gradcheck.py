@@ -29,10 +29,6 @@ class ParamReport:
     analytic: float
     numeric: float
 
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= DEFAULT_TOL
-
 
 @dataclass
 class GradCheckReport:

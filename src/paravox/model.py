@@ -197,20 +197,22 @@ class SynthesisModel(Module):
 
     # -- latent plumbing -------------------------------------------------------
 
-    def _training_latent(self, batch: Batch, enc: EncoderOutput, spk: Tensor,
-                         training: bool, rng, sample: bool, prior_teacher=None):
-        """Returns (latent block [B,N,32] or [B,32], kl [B] or None, prior loss or None, posterior)."""
+    def _training_latent(self, batch: Batch, enc: EncoderOutput, spk: Tensor, dropout_rng,
+                         rng, sample: bool, prior_teacher=None):
+        """Returns (latent block [B,N,32] or [B,32], kl [B] or None, prior loss or None, posterior).
+
+        Dropout draws from ``dropout_rng``, the posterior sample from ``rng``."""
         cfg = self.cfg
         if cfg.variant == "novae":
             return pt.constant(np.zeros((len(batch.speakers), cfg.latent_proj_dim))), None, None, None
         mel = pt.constant(batch.mel)
         if cfg.variant == "global":
-            post = self.posterior(mel, batch.frame_mask, training, rng)
+            post = self.posterior(mel, batch.frame_mask, dropout_rng)
             z = post.sample(rng) if sample else post.mean
             kl = kl_divergence(post, self.speaker_prior(batch.speakers))
             return self.latent_proj(z), kl, None, post
         feats = positional_features(batch.frames, cfg.d_model, pad_to=batch.mel.shape[1])
-        post = self.posterior(mel, feats, spk, enc, training, rng)
+        post = self.posterior(mel, feats, spk, enc, dropout_rng)
         z = post.sample(rng) if sample else post.mean
         kl = kl_divergence(post, np.zeros(cfg.latent_dim), token_mask=batch.token_mask)
         teacher = post.mean if prior_teacher is None else prior_teacher
@@ -220,13 +222,13 @@ class SynthesisModel(Module):
     # -- forward passes ----------------------------------------------------------
 
     def decode(self, hidden: Tensor, frames: np.ndarray, pad_to: Optional[int] = None,
-               training: bool = False, rng=None) -> list[Tensor]:
+               rng=None) -> list[Tensor]:
         """Token states and integer frame counts -> per-block mel predictions [B, T, K].
 
         Upsamples ``hidden`` by ``frames``, adds the blended positional
         features and runs the decoder.  ``pad_to`` appends fully masked frames
         up to that length (a target mel may carry them); a layout longer than
-        ``pad_to`` raises ShapeError.
+        ``pad_to`` raises ShapeError.  ``rng`` switches the decoder's dropout on.
         """
         up, _, frame_mask = upsample(hidden, frames)
         extra = 0 if pad_to is None else pad_to - up.shape[1]
@@ -237,22 +239,27 @@ class SynthesisModel(Module):
         if extra:
             x = pt.pad_axis(x, 1, 0, extra)
             frame_mask = np.pad(frame_mask, ((0, 0), (0, extra)))
-        return self.decoder(x, frame_mask, training, rng)
+        return self.decoder(x, frame_mask, rng)
 
     def forward_train(self, batch: Batch, rng=None, training: bool = True,
                       sample: bool = True, prior_teacher=None,
                       iterative: bool = True) -> ForwardOutputs:
-        """Teacher-forced pass; ``iterative`` picks the iterative or the single spectrogram loss."""
+        """Teacher-forced pass; ``iterative`` picks the iterative or the single spectrogram loss.
+
+        ``training`` switches dropout on, drawing from ``rng``; ``sample`` draws
+        the posterior latent from ``rng`` instead of taking its mean.
+        """
         cfg = self.cfg
-        enc = self.encoder(batch.tokens, batch.token_mask, training, rng)
+        dropout_rng = rng if training else None
+        enc = self.encoder(batch.tokens, batch.token_mask, dropout_rng)
         spk = self.speakers(batch.speakers)
-        latent, kl, prior_loss, post = self._training_latent(batch, enc, spk, training, rng,
+        latent, kl, prior_loss, post = self._training_latent(batch, enc, spk, dropout_rng, rng,
                                                              sample, prior_teacher)
         cond = attach_conditioning(enc, spk, latent)
-        dur_pred = self.duration_predictor(cond, batch.token_mask, training, rng)
+        dur_pred = self.duration_predictor(cond, batch.token_mask, dropout_rng)
         ce, l1 = duration_loss(dur_pred, DurationTarget.from_frames(batch.frames, cfg.frame_rate),
                                batch.token_mask)
-        preds = self.decode(dur_pred.hidden, batch.frames, batch.mel.shape[1], training, rng)
+        preds = self.decode(dur_pred.hidden, batch.frames, batch.mel.shape[1], dropout_rng)
         spec_loss = (iterative_spec_loss if iterative else single_spec_loss)(
             preds, batch.mel, batch.frame_mask)
         return ForwardOutputs(
@@ -298,9 +305,9 @@ class SynthesisModel(Module):
         return preds[-1].data[0], frames[0]
 
 
-def make_batch(utterances, indices=None, dtype=None) -> Batch:
-    """Pad a set of utterances to a rectangular batch with masks."""
-    dtype = dtype or pt.active_dtype()
+def make_batch(utterances, indices=None) -> Batch:
+    """Pad a set of utterances to a rectangular batch with masks; the mel is in
+    the active dtype."""
     utts = [utterances[i] for i in indices] if indices is not None else list(utterances)
     b = len(utts)
     n_max = max(len(u.tokens) for u in utts)
@@ -309,7 +316,7 @@ def make_batch(utterances, indices=None, dtype=None) -> Batch:
     tokens = np.zeros((b, n_max), dtype=int)
     token_mask = np.zeros((b, n_max))
     frames = np.zeros((b, n_max), dtype=int)
-    mel = np.zeros((b, t_max, bins), dtype=dtype)
+    mel = np.zeros((b, t_max, bins), dtype=pt.active_dtype())
     frame_mask = np.zeros((b, t_max))
     speakers = np.zeros(b, dtype=int)
     for i, u in enumerate(utts):

@@ -53,25 +53,21 @@ _PRECISIONS = {"standard": np.float32, "high": np.float64}
 _state = {"dtype": np.float32, "grad": True, "madds": 0}
 
 
-def set_precision(mode: str) -> None:
-    if mode not in _PRECISIONS:
-        raise ValueError(f"unknown precision {mode!r}; expected one of {sorted(_PRECISIONS)}")
-    _state["dtype"] = _PRECISIONS[mode]
-
-
 def active_dtype():
     return _state["dtype"]
 
 
 class precision:
-    """Context manager form of the precision switch."""
+    """Switch the run-level precision inside the block."""
 
     def __init__(self, mode: str):
+        if mode not in _PRECISIONS:
+            raise ValueError(f"unknown precision {mode!r}; expected one of {sorted(_PRECISIONS)}")
         self.mode = mode
 
     def __enter__(self):
         self.saved = _state["dtype"]
-        set_precision(self.mode)
+        _state["dtype"] = _PRECISIONS[self.mode]
         return self
 
     def __exit__(self, *exc):
@@ -167,9 +163,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -180,9 +173,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __pow__(self, p):
         return power(self, p)
@@ -196,27 +186,20 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 or not isinstance(shape[0], (tuple, list)) else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 class Parameter(Tensor):
-    """A named trainable leaf tensor.
+    """A named leaf tensor that the optimizer updates.
 
     ``name`` starts as the local attribute name and is rewritten to the full
     hierarchical path when the owning model finalizes its registry.
     """
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str = "", trainable: bool = True):
+    def __init__(self, data, name: str = ""):
         # Parameters are leaves regardless of the no_grad state at creation.
         super().__init__(np.asarray(data, dtype=_state["dtype"]))
         self.name = name
-        self.trainable = trainable
 
 
 def constant(data) -> Tensor:
@@ -346,20 +329,6 @@ def exp(a) -> Tensor:
         a._accum(g * out_data)
 
     return _make(out_data, (a,), bw)
-
-
-def log(a) -> Tensor:
-    a = _lift(a)
-    out_data = np.log(a.data)
-
-    def bw(g):
-        a._accum(g / a.data)
-
-    return _make(out_data, (a,), bw)
-
-
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
 
 
 def abs_(a) -> Tensor:
@@ -789,12 +758,14 @@ def lstm(x, w_x, w_h, b) -> Tensor:
     return _make(out_data, (x, w_x, w_h, b), bw, madds=bsz * steps * 4 * hidden * (d_in + hidden))
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted-scaling dropout; identity when not training or rate == 0."""
-    if not training or rate <= 0.0:
+def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted-scaling dropout; the identity without a generator or at rate 0.
+
+    A generator is what switches dropout on: training passes one, evaluation
+    and inference pass None.
+    """
+    if rng is None or rate <= 0.0:
         return _lift(x)
-    if rng is None:
-        raise ValueError("training-mode dropout requires an explicit random generator")
     keep = (rng.random(x.shape) >= rate).astype(active_dtype()) / (1.0 - rate)
     return mul(x, keep)
 

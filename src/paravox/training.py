@@ -26,8 +26,7 @@ import numpy as np
 from . import duration
 from .errors import ConfigError, DegenerateSynthesisError, FormatError, TrainingDiverged
 from .fileformats import read_arrays, write_arrays, write_mel
-from .decoder import KINDS as DECODER_KINDS
-from .model import (VARIANTS, Batch, ForwardOutputs, ModelConfig, ModelHyperparams,
+from .model import (Batch, ForwardOutputs, ModelConfig, ModelHyperparams,
                     SynthesisModel, make_batch)
 from .module import RandomSource
 from .tensor import Parameter, Tensor, backward, constant, no_grad
@@ -111,10 +110,10 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
 
 
 class NesterovMomentum:
-    """v <- mu*v + g ; p <- p - lr*(g + mu*v), per trainable parameter."""
+    """v <- mu*v + g ; p <- p - lr*(g + mu*v), per parameter."""
 
     def __init__(self, named_params, momentum: float):
-        self.named_params = [(n, p) for n, p in named_params if p.trainable]
+        self.named_params = list(named_params)
         self.momentum = momentum
         self.velocity = {n: np.zeros_like(p.data) for n, p in self.named_params}
 
@@ -131,16 +130,20 @@ class NesterovMomentum:
         return {f"velocity/{n}": v for n, v in self.velocity.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for n in self.velocity:
+        """Replace every velocity; FormatError when an entry is missing or has
+        another shape.  Every entry is checked before any is assigned."""
+        for n, v in self.velocity.items():
             key = f"velocity/{n}"
             if key not in arrays:
-                raise KeyError(f"optimizer state missing {key}")
-            self.velocity[n] = np.asarray(arrays[key], dtype=self.velocity[n].dtype).copy()
+                raise FormatError(f"optimizer state missing {key}")
+            shape = np.shape(arrays[key])
+            if shape != v.shape:
+                raise FormatError(f"shape mismatch for {key}: file {shape} vs model {v.shape}")
+        for n, v in self.velocity.items():
+            self.velocity[n] = np.asarray(arrays[f"velocity/{n}"], dtype=v.dtype).copy()
 
 
 # -- run configuration --------------------------------------------------------------
-
-_ENUMS = {"variant": VARIANTS, "decoder": DECODER_KINDS}
 
 
 @dataclass(kw_only=True)
@@ -167,7 +170,11 @@ class TrainConfig(ModelHyperparams):
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str], overrides: dict | None = None) -> "TrainConfig":
-        """Build from string key/values (config file), collecting every problem."""
+        """Build from string key/values (config file), collecting every problem.
+
+        Model fields are checked by ``ModelConfig.validate`` once the corpus
+        sizes are known; only the training settings are checked here.
+        """
         values = typed_fields(cls, mapping)
         provided = set(values)
         if overrides:
@@ -175,9 +182,6 @@ class TrainConfig(ModelHyperparams):
             provided |= set(overrides)
         cfg = cls(**values)
         problems = []
-        for name, allowed in _ENUMS.items():
-            if getattr(cfg, name) not in allowed:
-                problems.append(f"{name} must be one of {allowed}, got {getattr(cfg, name)!r}")
         if not cfg.warmup_steps <= cfg.decay_start < cfg.decay_end:
             problems.append(
                 f"need warmup_steps <= decay_start < decay_end, got "
@@ -198,8 +202,9 @@ class TrainConfig(ModelHyperparams):
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "TrainConfig":
+        mapping = parse_config_file(path)
         with _naming(path):
-            return cls.from_mapping(parse_config_file(path), overrides)
+            return cls.from_mapping(mapping, overrides)
 
     def model_config(self, vocab_size: int, num_speakers: int, mel_bins: int,
                      frame_rate: float) -> ModelConfig:
@@ -245,10 +250,15 @@ def _coerce(raw: str, annotation) -> object:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Plain-text ``key = value`` lines; '#' starts a comment."""
+    """Plain-text UTF-8 ``key = value`` lines; '#' starts a comment.  Every
+    problem in the ConfigError names the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
     mapping = {}
     problems = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -258,7 +268,7 @@ def parse_config_file(path) -> dict[str, str]:
         key, value = stripped.split("=", 1)
         mapping[key.strip()] = value.strip()
     if problems:
-        raise ConfigError(problems)
+        raise ConfigError([f"{path}: {p}" for p in problems])
     return mapping
 
 
@@ -298,14 +308,15 @@ def _naming(path):
 
 def read_settings(path, cls):
     """Read a ``key = value`` file into dataclass ``cls``; every problem names the file."""
+    mapping = parse_config_file(path)
     with _naming(path):
-        return cls(**typed_fields(cls, parse_config_file(path)))
+        return cls(**typed_fields(cls, mapping))
 
 
 def write_settings(path, settings) -> None:
     """Write a dataclass as ``key = value`` lines in field order, as read_settings reads them."""
     Path(path).write_text("".join(f"{f.name} = {getattr(settings, f.name)}\n"
-                                  for f in fields(settings)))
+                                  for f in fields(settings)), encoding="utf-8")
 
 
 # -- training loop -------------------------------------------------------------------
@@ -359,9 +370,9 @@ def load_state(state: TrainState, path) -> None:
     params = {k: v for k, v in arrays.items() if not k.startswith("velocity/")}
     try:
         state.model.load_state_arrays(params)
+        state.optimizer.load_state_arrays(velocities)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    state.optimizer.load_state_arrays(velocities)
     state.step = step
 
 
@@ -376,8 +387,7 @@ def train_step(state: TrainState, batch: Batch, cfg: TrainConfig,
         raise TrainingDiverged(f"non-finite loss {loss.data!r} at step {step}")
     state.model.zero_grad()
     backward(loss)
-    params = [p for p in state.model.parameters() if p.trainable]
-    grad_norm = clip_global_norm(params, cfg.clip_norm)
+    grad_norm = clip_global_norm(state.model.parameters(), cfg.clip_norm)
     state.optimizer.step(cfg.lr_at(step))
     state.step = step
     return {

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as pt
-from .blocks import LConvBlock, LayerNorm, apply_mask, conv1d, repeat_over_positions
+from .blocks import (LConvBlock, LayerNorm, apply_mask, attention_weights, conv1d,
+                     repeat_over_positions)
 from .errors import ShapeError
 from .module import Linear, Module, ModuleList, glorot
 from .tensor import Parameter, Tensor
@@ -57,10 +58,6 @@ class SpeakerPrior(Module):
         return pt.gather_rows(self.means, np.asarray(speaker_ids))
 
 
-def downsampled_length(length: int, stride: int = 2) -> int:
-    return -(-length // stride)
-
-
 class GlobalPosterior(Module):
     """Utterance-level posterior: LConv stack, strided downsampling, masked pooling.
 
@@ -85,7 +82,7 @@ class GlobalPosterior(Module):
         self.mean_proj = Linear(mel_bins, latent_dim, rng)
         self.logvar_proj = Linear(mel_bins, latent_dim, rng)
 
-    def __call__(self, mel: Tensor, frame_mask, training: bool = False, rng=None) -> LatentPosterior:
+    def __call__(self, mel: Tensor, frame_mask, rng=None) -> LatentPosterior:
         mask = np.asarray(frame_mask, dtype=float)
         lengths = mask.sum(axis=1).astype(int)
         if mel.shape[1] == 0 or np.any(lengths == 0):
@@ -94,13 +91,13 @@ class GlobalPosterior(Module):
         # and the pooling below read zero padding without masking again
         x = apply_mask(mel, mask)
         for block in self.pre:
-            x = block(x, mask, training, rng)
+            x = block(x, mask, rng)
         for conv, block in zip(self.stride_convs, self.strided):
             x = conv1d(x, conv.weight, conv.bias, stride=2)
             lengths = -(-lengths // 2)
             t = x.shape[1]
             mask = (np.arange(t)[None, :] < lengths[:, None]).astype(float)
-            x = block(x, mask, training, rng)
+            x = block(x, mask, rng)
         pooled = x.sum(axis=1) / mask.sum(axis=1, keepdims=True)
         return LatentPosterior(self.mean_proj(pooled), self.logvar_proj(pooled))
 
@@ -127,10 +124,9 @@ class FinePosterior(Module):
         self.k_proj = Linear(width, d_model, rng, bias=False)
         self.mean_proj = Linear(width, latent_dim, rng)
         self.logvar_proj = Linear(width, latent_dim, rng)
-        self.d_model = d_model
 
     def __call__(self, mel: Tensor, pos_feats, speaker_emb: Tensor, enc,
-                 training: bool = False, rng=None, return_weights: bool = False):
+                 rng=None) -> LatentPosterior:
         t = mel.shape[1]
         if pos_feats.within.shape[1] != t:
             raise ShapeError(
@@ -141,19 +137,12 @@ class FinePosterior(Module):
         x = pt.concat([mel, pos_feats.within, pos_feats.duration, pos_feats.fraction, spk], axis=2)
         x = self.in_proj(apply_mask(x, frame_mask))
         for block in self.blocks:
-            x = block(x, frame_mask, training, rng)
+            x = block(x, frame_mask, rng)
         q = self.q_proj(self.query_norm(enc.phonemes))
-        k = self.k_proj(x)
-        scores = pt.matmul(q, pt.transpose(k, (0, 2, 1))) * (self.d_model ** -0.5)
-        neg = (np.asarray(frame_mask, dtype=pt.active_dtype()) - 1.0) * 1e9
-        weights = pt.softmax(scores + neg[:, None, :], axis=-1)
-        ctx = pt.matmul(weights, x)
+        ctx = pt.matmul(attention_weights(q, self.k_proj(x), frame_mask), x)
         mean = apply_mask(self.mean_proj(ctx), enc.token_mask)
         logvar = apply_mask(self.logvar_proj(ctx), enc.token_mask)
-        post = LatentPosterior(mean, logvar)
-        if return_weights:
-            return post, weights
-        return post
+        return LatentPosterior(mean, logvar)
 
 
 class FinePriorLSTM(Module):

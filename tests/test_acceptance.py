@@ -278,8 +278,8 @@ def test_speed_ordering_table_analogue():
 # -- criterion: parameter-count claim ----------------------------------------------------------------
 
 def test_parameter_count_claim():
-    light = blocks.lightweight_param_count(heads=8, kernel_size=17)
-    standard = blocks.standard_conv_param_count(dim=128, kernel_size=17)
+    light = blocks.LightweightConv(128, 8, 17, np.random.default_rng(0)).kernel.size
+    standard = blocks.ConvBlock(128, 128, 17, np.random.default_rng(0)).weight.size
     ratio = standard / light
     ok = light == 136 and standard == 278528 and ratio == 2048.0 and ratio >= 2048
     report("parameter-count-claim", ok, f"{standard} / {light} = {ratio:.0f}x")

@@ -95,8 +95,8 @@ def test_lconv_even_kernel_rejected():
 
 
 def test_lconv_parameter_count_ratio():
-    light = blocks.lightweight_param_count(8, 17)
-    standard = blocks.standard_conv_param_count(128, 17)
+    light = blocks.LightweightConv(128, 8, 17, np.random.default_rng(0)).kernel.size
+    standard = blocks.ConvBlock(128, 128, 17, np.random.default_rng(0)).weight.size
     assert light == 136
     assert standard == 278528
     assert standard / light == 2048.0
@@ -145,26 +145,42 @@ def test_lconv_block_gradient_check():
     assert report.passed, report.format_table()
 
 
-# -- transformer block --------------------------------------------------------------
+# -- attention and the transformer block ---------------------------------------------
+
+# (query shape, key shape): batched single-head, and batched multi-head as
+# MultiHeadSelfAttention splits it
+ATTENTION_SHAPES = [((2, 4, 6), (2, 5, 6)), ((2, 3, 4, 6), (2, 3, 5, 6))]
+
+
+def test_attention_weights_single_key_gets_weight_one():
+    rng = np.random.default_rng(2)
+    for q_shape, k_shape in ATTENTION_SHAPES:
+        q = Tensor(rng.normal(size=q_shape))
+        k = Tensor(rng.normal(size=k_shape[:-2] + (1, k_shape[-1])))
+        weights = blocks.attention_weights(q, k)
+        assert weights.shape == q_shape[:-1] + (1,)
+        assert np.array_equal(weights.data, np.ones(weights.shape))
+
 
 def test_attention_single_position_uses_value_projection():
     rng = np.random.default_rng(0)
     attn = blocks.MultiHeadSelfAttention(8, 2, rng)
     x = Tensor(rng.normal(size=(1, 1, 8)))
-    out, weights = attn(x, return_weights=True)
-    assert np.allclose(weights.data, 1.0, atol=1e-12)
     expected = attn.out(attn.v(x))
-    assert np.allclose(out.data, expected.data, atol=1e-12)
+    assert np.allclose(attn(x).data, expected.data, atol=1e-12)
 
 
 def test_attention_rows_sum_to_one_over_valid_keys():
     rng = np.random.default_rng(1)
-    attn = blocks.MultiHeadSelfAttention(8, 2, rng)
-    x = Tensor(rng.normal(size=(2, 5, 8)))
     mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-    _, weights = attn(x, mask, return_weights=True)
-    assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.allclose(weights.data[0, :, :, 3:], 0.0, atol=1e-9)
+    for q_shape, k_shape in ATTENTION_SHAPES:
+        q = Tensor(rng.normal(size=q_shape))
+        k = Tensor(rng.normal(size=k_shape))
+        weights = blocks.attention_weights(q, k, mask).data
+        assert weights.shape == q_shape[:-1] + (5,)
+        assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.array_equal(weights[0, ..., 3:], np.zeros(weights[0, ..., 3:].shape))
+        assert np.all(weights[0, ..., :3] > 0.0) and np.all(weights[1] > 0.0)
 
 
 def test_transformer_block_gradient_check():

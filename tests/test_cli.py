@@ -8,7 +8,7 @@ import pytest
 
 from paravox.cli import EXIT_CHECK, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from paravox.corpus import CorpusHeader, read_corpus
-from paravox.fileformats import read_mel
+from paravox.fileformats import read_arrays, read_mel, write_arrays
 from paravox.training import TrainConfig, read_settings
 
 from conftest import TINY_TRAIN_KW
@@ -182,6 +182,51 @@ def test_train_model_shape_problems_listed_before_writing(tmp_path, corpus_dir, 
     err = capsys.readouterr().err
     assert "dur_heads (7)" in err and "heads (3)" in err
     assert not out.exists()
+
+
+def test_train_unknown_variant_named_once_before_writing(tmp_path, corpus_dir, capsys):
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", variant="foo")
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg), "--corpus", str(corpus_dir), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("variant must be one of") == 1 and "'foo'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, code", [
+    ("train-config", EXIT_USAGE), ("gen-spec", EXIT_USAGE), ("inventory", EXIT_RUNTIME),
+], ids=["train-config", "gen-spec", "inventory"])
+def test_non_utf8_text_file_is_typed_error(tmp_path, corpus_dir, capsys, target, code):
+    if target == "gen-spec":
+        bad = write_tiny_corpus_spec(tmp_path / "bad.spec")
+        args = ["gen", "--spec", str(bad), "--count", "2"]
+    else:
+        cfg = write_tiny_train_config(tmp_path / "run.cfg")
+        bad = cfg if target == "train-config" else corpus_dir / "phonemes.txt"
+        args = ["train", "--config", str(cfg), "--corpus", str(corpus_dir)]
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not UTF-8" in err
+    assert not out.exists()
+
+
+def test_resume_with_misshapen_velocity_is_runtime_error(tmp_path, novae_run, capsys):
+    corpus, run = novae_run
+    arrays = read_arrays(run / "state.ckpt")
+    arrays["velocity/encoder.embedding"] = np.zeros(1)
+    state = tmp_path / "state.ckpt"
+    write_arrays(state, arrays)
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=4)
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--corpus", str(corpus), "--variant", "novae",
+               "--out", str(tmp_path / "again"), "--resume", str(state)])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert str(state) in err and "velocity/encoder.embedding" in err and "(1,)" in err
 
 
 def test_train_resume_from_model_checkpoint_is_runtime_error(tmp_path, corpus_dir, capsys):

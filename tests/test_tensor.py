@@ -199,7 +199,7 @@ def test_registered_ops_match_finite_differences(seed):
     """Property: every differentiable op's analytic grad tracks central differences."""
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(2, 3)) + 0.1 * np.sign(rng.normal(size=(2, 3)))  # keep away from kinks
-    y0 = rng.normal(size=(2, 3)) * 0.5 + 1.7  # positive-ish for div/log
+    y0 = rng.normal(size=(2, 3)) * 0.5 + 1.7  # positive-ish for div
     weights = rng.normal(size=(2, 3))
 
     cases = {
@@ -214,7 +214,6 @@ def test_registered_ops_match_finite_differences(seed):
         "exp": (lambda x, y: pt.exp(x), False),
         "abs": (lambda x, y: pt.abs_(x), False),
         "softmax": (lambda x, y: pt.softmax(x, axis=-1), False),
-        "log": (lambda x, y: pt.log(pt.add(pt.mul(x, x), 0.5)), False),
         "power": (lambda x, y: pt.power(pt.add(pt.mul(x, x), 0.5), 1.5), False),
     }
     for name, (op, binary) in cases.items():
@@ -304,14 +303,15 @@ def test_bce_with_logits_values():
 
 def test_dropout_inference_noop_and_training_scaling():
     x = Tensor(np.ones((1000,)))
-    assert np.array_equal(pt.dropout(x, 0.3, None, training=False).data, x.data)
+    assert pt.dropout(x, 0.3, None) is x  # no generator: off
+    assert pt.dropout(x, 0.0, np.random.default_rng(5)) is x
     rng = np.random.default_rng(5)
-    y = pt.dropout(x, 0.25, rng, training=True)
+    y = pt.dropout(x, 0.25, rng)
     kept = y.data[y.data != 0]
     assert np.allclose(kept, 1 / 0.75)
     assert abs((y.data == 0).mean() - 0.25) < 0.05
     # same seed -> same mask
-    y2 = pt.dropout(x, 0.25, np.random.default_rng(5), training=True)
+    y2 = pt.dropout(x, 0.25, np.random.default_rng(5))
     assert np.array_equal(y.data, y2.data)
 
 

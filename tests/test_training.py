@@ -94,7 +94,7 @@ def hand_nesterov_quadratic(x0, a, lr, mu, steps):
 
 def test_nesterov_matches_hand_stepped_reference():
     with pt.precision("high"):
-        p = Parameter(np.array([2.0]), "p", trainable=True)
+        p = Parameter(np.array([2.0]), "p")
         opt = NesterovMomentum([("p", p)], momentum=0.9)
         got = []
         for _ in range(5):
@@ -104,12 +104,6 @@ def test_nesterov_matches_hand_stepped_reference():
             got.append(float(p.data[0]))
         expected = hand_nesterov_quadratic(2.0, 3.0, 0.05, 0.9, 5)
         assert np.allclose(got, expected, atol=1e-12)
-
-
-def test_nesterov_skips_frozen_parameters():
-    p = Parameter(np.ones(2), "p", trainable=False)
-    opt = NesterovMomentum([("p", p)], momentum=0.9)
-    assert opt.named_params == []
 
 
 # -- total_loss assembly ---------------------------------------------------------------
