@@ -22,7 +22,7 @@ from .training import LossTerms, total_loss
 
 def _weighted(out: Tensor, seed: int) -> Tensor:
     w = np.random.default_rng(seed).normal(size=out.shape)
-    return (out * Tensor(w)).sum()
+    return (out * w).sum()
 
 
 def check_tensor_ops() -> GradCheckReport:
@@ -111,21 +111,20 @@ def check_vae() -> GradCheckReport:
     mel = Tensor(rng.normal(size=(2, 9, 8)))
     frame_mask = np.ones((2, 9))
     frames = np.array([[3, 2, 4], [2, 4, 3]])
-    feats = upsample.positional_features(frames, 16)
+    feats = upsample.positional_features(upsample.frame_layout(frames), 16)
     spk = Tensor(rng.normal(size=(2, 8)))
     enc = EncoderOutput(Tensor(rng.normal(size=(2, 3, 16))), np.ones((2, 3)))
-    eps_g = Tensor(rng.normal(size=(2, 4)))
-    eps_f = Tensor(rng.normal(size=(2, 3, 4)))
     prior_mean = Tensor(rng.normal(size=(2, 4)))
     # the prior teacher is frozen at the unperturbed point: the stop-gradient
     # contract makes the live teacher's value-dependence invisible to backward
     teacher0 = Tensor(fp(mel, feats, spk, enc).mean.data.copy())
 
     def f():
+        # the sample training draws, with the same noise on every call
         post_g = gp(mel, frame_mask)
-        z_g = post_g.mean + pt.exp(post_g.log_variance * 0.5) * eps_g
+        z_g = post_g.sample(np.random.default_rng(41))
         post_f = fp(mel, feats, spk, enc)
-        z_f = post_f.mean + pt.exp(post_f.log_variance * 0.5) * eps_f
+        z_f = post_f.sample(np.random.default_rng(42))
         _, prior_loss = prior.teacher_forced(enc, spk, teacher0)
         kl_g = vae.kl_divergence(post_g, prior_mean).sum()
         kl_f = vae.kl_divergence(post_f, Tensor(np.zeros(4)), enc.token_mask).sum()
@@ -157,12 +156,11 @@ def check_upsampler() -> GradCheckReport:
     comb = upsample.FeatureCombiner(16, np.random.default_rng(18)).finalize_names("combiner.")
     comb.logits.data[:] = np.random.default_rng(19).normal(size=(3, 16))
     hidden = pt.Parameter(np.random.default_rng(20).normal(size=(2, 4, 16)), "hidden")
-    frames = np.array([[2, 0, 3, 1], [1, 2, 2, 2]])
-    feats = upsample.positional_features(frames, 16)
+    layout = upsample.frame_layout(np.array([[2, 0, 3, 1], [1, 2, 2, 2]]))
+    feats = upsample.positional_features(layout, 16)
 
     def f():
-        up, _, _ = upsample.upsample(hidden, frames)
-        return _weighted(comb(up, feats), 21)
+        return _weighted(comb(upsample.upsample(hidden, layout), feats), 21)
 
     return grad_check(f, [hidden] + comb.parameters(), max_entries=24)
 
@@ -199,13 +197,10 @@ def _tiny_model_config(variant: str) -> ModelConfig:
 def _tiny_batch(seed: int = 26) -> Batch:
     rng = np.random.default_rng(seed)
     frames = np.array([[3, 0, 2, 3, 1], [2, 2, 0, 3, 0]])
-    t = int(frames.sum(axis=1).max())
-    mel = rng.random((2, t, 8))
-    frame_mask = (np.arange(t)[None, :] < frames.sum(axis=1)[:, None]).astype(float)
-    mel *= frame_mask[:, :, None]
+    mask = upsample.frame_layout(frames).mask
+    mel = rng.random(mask.shape + (8,)) * mask[:, :, None]
     return Batch(tokens=rng.integers(0, 8, size=(2, 5)), token_mask=np.ones((2, 5)),
-                 speakers=np.array([0, 1]), frames=frames,
-                 mel=mel.astype(pt.active_dtype()), frame_mask=frame_mask)
+                 speakers=np.array([0, 1]), frames=frames, mel=mel.astype(pt.active_dtype()))
 
 
 def _check_assembled(variant: str, seed: int, batch_seed: int = 26) -> GradCheckReport:
@@ -216,14 +211,13 @@ def _check_assembled(variant: str, seed: int, batch_seed: int = 26) -> GradCheck
     if variant == "fine":
         # freeze the teacher sequence: teacher forcing stops gradient by contract,
         # so finite differences must not see the teacher's parameter dependence
-        out0 = model.forward_train(batch, rng=np.random.default_rng(99), training=False,
-                                   sample=True)
+        out0 = model.forward_train(batch, sample_rng=np.random.default_rng(99))
         teacher0 = Tensor(out0.posterior.mean.data.copy())
 
     def f():
         # reseeding per call fixes the reparameterization noise, keeping f deterministic
-        out = model.forward_train(batch, rng=np.random.default_rng(99), training=False,
-                                  sample=True, prior_teacher=teacher0)
+        out = model.forward_train(batch, sample_rng=np.random.default_rng(99),
+                                  prior_teacher=teacher0)
         terms = LossTerms.from_outputs(out, lambda_dur=1.0, beta=beta)
         return total_loss(variant, terms)
 

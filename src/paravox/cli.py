@@ -22,7 +22,8 @@ from .errors import (ConfigError, DegenerateSynthesisError, FormatError,
                      TrainingDiverged, VocabularyError)
 from .fileformats import read_arrays, write_mel, write_mel_text
 from .model import VARIANTS, SynthesisModel
-from .training import TrainConfig, evaluate, read_settings, train, write_settings
+from .training import (TrainConfig, build_state, evaluate, load_state, read_settings, train,
+                       write_settings)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,14 +134,15 @@ def cmd_train(args) -> int:
     if problems:
         raise ConfigError(problems)
     started = time.time()
+    state = build_state(cfg, header.vocab_size, header.num_speakers, header.mel_bins,
+                        header.frame_rate)
+    if args.resume:
+        load_state(state, args.resume)
     out = _prepare_out_dir(args.out, args.force)
     write_settings(out / "config.txt", cfg)
     write_settings(out / "dataset.txt", header)
     corpus_mod.write_inventory(out / "phonemes.txt", vocabulary)
-    result = train(cfg, utterances, out, frame_rate=header.frame_rate,
-                   mel_bins=header.mel_bins, vocab_size=header.vocab_size,
-                   num_speakers=header.num_speakers,
-                   resume_from=args.resume, log=print)
+    result = train(state, cfg, utterances, out, log=print)
     metrics = evaluate(result["state"].model, utterances, mode="teacher",
                        batch_size=cfg.batch_size)
     write_manifest(out, "train", vars(cfg), cfg.seed, started, metrics)

@@ -44,22 +44,14 @@ class SpectrogramDecoder(Module):
 def _masked_l1(pred: Tensor, target, frame_mask) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
-    diff = pt.abs_(pred - target)
-    if frame_mask is not None:
-        diff = diff * np.asarray(frame_mask)[:, :, None]
-    return diff.sum()
+    return (pt.abs_(pred - target) * np.asarray(frame_mask)[:, :, None]).sum()
 
 
 def _normalizer(target, frame_mask) -> float:
-    bins = target.shape[-1]
-    if frame_mask is None:
-        frames = target.shape[0] * target.shape[1]
-    else:
-        frames = float(np.asarray(frame_mask).sum())
-    return float(bins * frames)
+    return target.shape[-1] * float(np.asarray(frame_mask).sum())
 
 
-def iterative_spec_loss(preds: list[Tensor], target, frame_mask=None) -> Tensor:
+def iterative_spec_loss(preds: list[Tensor], target, frame_mask) -> Tensor:
     """Sum of per-block L1 terms over valid frames, normalized by bins x frames."""
     total = None
     for pred in preds:
@@ -68,6 +60,6 @@ def iterative_spec_loss(preds: list[Tensor], target, frame_mask=None) -> Tensor:
     return total * (1.0 / _normalizer(target, frame_mask))
 
 
-def single_spec_loss(preds: list[Tensor], target, frame_mask=None) -> Tensor:
+def single_spec_loss(preds: list[Tensor], target, frame_mask) -> Tensor:
     """L1 of the final block's projection only, same normalization."""
     return _masked_l1(preds[-1], target, frame_mask) * (1.0 / _normalizer(target, frame_mask))

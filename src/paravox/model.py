@@ -28,7 +28,7 @@ from .encoder import EncoderOutput, SpeakerTable, TextEncoder, attach_conditioni
 from .errors import ShapeError, VocabularyError
 from .module import Module, RandomSource
 from .tensor import Tensor
-from .upsample import FeatureCombiner, positional_features, upsample
+from .upsample import FeatureCombiner, FrameLayout, frame_layout, positional_features, upsample
 from .vae import (FinePosterior, FinePriorLSTM, GlobalPosterior, LatentProjector,
                   SpeakerPrior, kl_divergence)
 
@@ -131,7 +131,6 @@ class Batch:
     speakers: np.ndarray    # [B] int
     frames: np.ndarray      # [B, N] int ground-truth durations
     mel: np.ndarray         # [B, T, K] float, T = max total frames
-    frame_mask: np.ndarray  # [B, T] float
 
     @property
     def n_valid_tokens(self) -> float:
@@ -139,7 +138,7 @@ class Batch:
 
     @property
     def n_valid_frames(self) -> float:
-        return float(self.frame_mask.sum())
+        return float(self.frames.sum())
 
 
 @dataclass
@@ -156,6 +155,7 @@ class ForwardOutputs:
     kl_per_utterance: Optional[Tensor]   # [B] or None
     prior_loss: Optional[Tensor]         # scalar sum or None
     duration_pred: DurationPrediction
+    layout: FrameLayout            # the ground-truth frames, over the mel's length
     posterior: object = None
     n_tokens: float = 0.0
 
@@ -197,23 +197,23 @@ class SynthesisModel(Module):
 
     # -- latent plumbing -------------------------------------------------------
 
-    def _training_latent(self, batch: Batch, enc: EncoderOutput, spk: Tensor, dropout_rng,
-                         rng, sample: bool, prior_teacher=None):
+    def _training_latent(self, batch: Batch, layout: FrameLayout, enc: EncoderOutput,
+                         spk: Tensor, dropout_rng, sample_rng, prior_teacher=None):
         """Returns (latent block [B,N,32] or [B,32], kl [B] or None, prior loss or None, posterior).
 
-        Dropout draws from ``dropout_rng``, the posterior sample from ``rng``."""
+        The latent is drawn from the posterior with ``sample_rng``, or is its
+        mean without one."""
         cfg = self.cfg
         if cfg.variant == "novae":
             return pt.constant(np.zeros((len(batch.speakers), cfg.latent_proj_dim))), None, None, None
         mel = pt.constant(batch.mel)
         if cfg.variant == "global":
-            post = self.posterior(mel, batch.frame_mask, dropout_rng)
-            z = post.sample(rng) if sample else post.mean
+            post = self.posterior(mel, layout.mask, dropout_rng)
+            z = post.mean if sample_rng is None else post.sample(sample_rng)
             kl = kl_divergence(post, self.speaker_prior(batch.speakers))
             return self.latent_proj(z), kl, None, post
-        feats = positional_features(batch.frames, cfg.d_model, pad_to=batch.mel.shape[1])
-        post = self.posterior(mel, feats, spk, enc, dropout_rng)
-        z = post.sample(rng) if sample else post.mean
+        post = self.posterior(mel, positional_features(layout, cfg.d_model), spk, enc, dropout_rng)
+        z = post.mean if sample_rng is None else post.sample(sample_rng)
         kl = kl_divergence(post, np.zeros(cfg.latent_dim), token_mask=batch.token_mask)
         teacher = post.mean if prior_teacher is None else prior_teacher
         _, prior_loss = self.prior_lstm.teacher_forced(enc, spk, teacher)
@@ -221,56 +221,50 @@ class SynthesisModel(Module):
 
     # -- forward passes ----------------------------------------------------------
 
-    def decode(self, hidden: Tensor, frames: np.ndarray, pad_to: Optional[int] = None,
-               rng=None) -> list[Tensor]:
-        """Token states and integer frame counts -> per-block mel predictions [B, T, K].
+    def decode(self, hidden: Tensor, layout: FrameLayout, rng=None) -> list[Tensor]:
+        """Token states and their frame layout -> per-block mel predictions [B, T, K].
 
-        Upsamples ``hidden`` by ``frames``, adds the blended positional
-        features and runs the decoder.  ``pad_to`` appends fully masked frames
-        up to that length (a target mel may carry them); a layout longer than
-        ``pad_to`` raises ShapeError.  ``rng`` switches the decoder's dropout on.
+        Upsamples ``hidden`` along ``layout``, adds the blended positional
+        features and runs the decoder over the layout's mask.  A layout padded
+        past its frames (to a target mel's length) feeds zero rows there.
+        ``rng`` switches the decoder's dropout on.
         """
-        up, _, frame_mask = upsample(hidden, frames)
-        extra = 0 if pad_to is None else pad_to - up.shape[1]
-        if extra < 0:
-            raise ShapeError(f"duration-derived frame count {up.shape[1]} exceeds target mel "
-                             f"frames {pad_to}")
-        x = self.combiner(up, positional_features(frames, self.cfg.d_cond))
-        if extra:
-            x = pt.pad_axis(x, 1, 0, extra)
-            frame_mask = np.pad(frame_mask, ((0, 0), (0, extra)))
-        return self.decoder(x, frame_mask, rng)
+        x = self.combiner(upsample(hidden, layout), positional_features(layout, self.cfg.d_cond))
+        return self.decoder(x, layout.mask, rng)
 
-    def forward_train(self, batch: Batch, rng=None, training: bool = True,
-                      sample: bool = True, prior_teacher=None,
+    def forward_train(self, batch: Batch, dropout_rng=None, sample_rng=None, prior_teacher=None,
                       iterative: bool = True) -> ForwardOutputs:
         """Teacher-forced pass; ``iterative`` picks the iterative or the single spectrogram loss.
 
-        ``training`` switches dropout on, drawing from ``rng``; ``sample`` draws
-        the posterior latent from ``rng`` instead of taking its mean.
+        One frame layout, of ``batch.frames`` over the mel's frames, serves the
+        posterior, the decoder and the loss mask; ShapeError when the mel is
+        shorter than the frames.  Randomness comes only from the generators:
+        ``dropout_rng`` switches dropout on, and ``sample_rng`` draws the
+        latent from the posterior instead of taking its mean.  Without either
+        the pass is deterministic.
         """
         cfg = self.cfg
-        dropout_rng = rng if training else None
+        layout = frame_layout(batch.frames, batch.mel.shape[1])
         enc = self.encoder(batch.tokens, batch.token_mask, dropout_rng)
         spk = self.speakers(batch.speakers)
-        latent, kl, prior_loss, post = self._training_latent(batch, enc, spk, dropout_rng, rng,
-                                                             sample, prior_teacher)
+        latent, kl, prior_loss, post = self._training_latent(batch, layout, enc, spk, dropout_rng,
+                                                             sample_rng, prior_teacher)
         cond = attach_conditioning(enc, spk, latent)
         dur_pred = self.duration_predictor(cond, batch.token_mask, dropout_rng)
         ce, l1 = duration_loss(dur_pred, DurationTarget.from_frames(batch.frames, cfg.frame_rate),
                                batch.token_mask)
-        preds = self.decode(dur_pred.hidden, batch.frames, batch.mel.shape[1], dropout_rng)
+        preds = self.decode(dur_pred.hidden, layout, dropout_rng)
         spec_loss = (iterative_spec_loss if iterative else single_spec_loss)(
-            preds, batch.mel, batch.frame_mask)
+            preds, batch.mel, layout.mask)
         return ForwardOutputs(
             spec_loss=spec_loss, predictions=preds, dur_ce=ce, dur_l1=l1,
-            kl_per_utterance=kl, prior_loss=prior_loss, duration_pred=dur_pred,
+            kl_per_utterance=kl, prior_loss=prior_loss, duration_pred=dur_pred, layout=layout,
             posterior=post, n_tokens=batch.n_valid_tokens)
 
     def teacher_forward(self, batch: Batch) -> ForwardOutputs:
         """Deterministic evaluation pass: posterior means, ground-truth durations."""
         with pt.no_grad():
-            return self.forward_train(batch, rng=None, training=False, sample=False)
+            return self.forward_train(batch)
 
     def predict_durations_free(self, tokens: np.ndarray, speakers: np.ndarray,
                                token_mask=None) -> DurationPrediction:
@@ -301,13 +295,13 @@ class SynthesisModel(Module):
         dur_pred = self.predict_durations_free(tokens, np.array([speaker]))
         frames = finalize_durations(dur_pred.p_z.data, dur_pred.seconds.data, cfg.frame_rate)
         with pt.no_grad():
-            preds = self.decode(dur_pred.hidden, frames)
+            preds = self.decode(dur_pred.hidden, frame_layout(frames))
         return preds[-1].data[0], frames[0]
 
 
 def make_batch(utterances, indices=None) -> Batch:
-    """Pad a set of utterances to a rectangular batch with masks; the mel is in
-    the active dtype."""
+    """Pad a set of utterances to a rectangular batch with a token mask; the mel
+    is in the active dtype."""
     utts = [utterances[i] for i in indices] if indices is not None else list(utterances)
     b = len(utts)
     n_max = max(len(u.tokens) for u in utts)
@@ -317,7 +311,6 @@ def make_batch(utterances, indices=None) -> Batch:
     token_mask = np.zeros((b, n_max))
     frames = np.zeros((b, n_max), dtype=int)
     mel = np.zeros((b, t_max, bins), dtype=pt.active_dtype())
-    frame_mask = np.zeros((b, t_max))
     speakers = np.zeros(b, dtype=int)
     for i, u in enumerate(utts):
         n = len(u.tokens)
@@ -326,6 +319,5 @@ def make_batch(utterances, indices=None) -> Batch:
         token_mask[i, :n] = 1.0
         frames[i, :n] = u.durations
         mel[i, :t] = u.mel
-        frame_mask[i, :t] = 1.0
         speakers[i] = u.speaker
-    return Batch(tokens, token_mask, speakers, frames, mel, frame_mask)
+    return Batch(tokens, token_mask, speakers, frames, mel)

@@ -45,20 +45,28 @@ class Module:
         return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every parameter's values; FormatError when ``arrays`` holds
-        another parameter set or another shape.  Every entry is checked before
-        any is assigned, so a failed load leaves the model as it was."""
-        own = dict(self.named_parameters())
-        missing = sorted(set(own) - set(arrays))
-        extra = sorted(set(arrays) - set(own))
-        if missing or extra:
-            raise FormatError(f"state mismatch; missing={missing} unexpected={extra}")
-        for name, p in own.items():
-            shape = np.shape(arrays[name])
-            if shape != p.data.shape:
-                raise FormatError(f"shape mismatch for {name}: file {shape} vs model {p.data.shape}")
-        for name, p in own.items():
-            p.data = np.asarray(arrays[name], dtype=p.data.dtype).copy()
+        """Overwrite every parameter's values, as ``load_checked`` does."""
+        load_checked(self.state_arrays(), arrays)
+
+
+def load_checked(own: dict[str, np.ndarray], arrays: dict[str, np.ndarray]) -> None:
+    """Copy ``arrays[name]`` into ``own[name]`` in place, for every name.
+
+    FormatError when ``arrays`` holds another set of names or another shape.
+    Every entry is checked before any is copied, so a failed load changes
+    nothing.
+    """
+    problems = [f"{kind} {names[0]}" + (f" and {len(names) - 1} more" if len(names) > 1 else "")
+                for kind, names in (("missing", sorted(set(own) - set(arrays))),
+                                    ("unexpected", sorted(set(arrays) - set(own)))) if names]
+    if problems:
+        raise FormatError("state mismatch: " + "; ".join(problems))
+    for name, dst in own.items():
+        shape = np.shape(arrays[name])
+        if shape != dst.shape:
+            raise FormatError(f"shape mismatch for {name}: file {shape} vs model {dst.shape}")
+    for name, dst in own.items():
+        np.copyto(dst, arrays[name], casting="unsafe")
 
 
 class ModuleList(Module):

@@ -39,8 +39,8 @@ per output element, and ``lstm`` B*N*4H*(d_in+H) for its input and recurrent
 projections.  Element-wise ops (``bce_with_logits`` among them), ``softmax``,
 ``layer_norm`` and ``gather_rows`` count one per output element, so the
 upsampler's frame gather costs T*d per utterance.  ``sum_`` counts one per
-input element, and shape ops (reshape, transpose, concat, slicing, padding,
-expand) nothing.
+input element, and shape ops (reshape, transpose, concat, slicing, expand)
+nothing.
 """
 
 from __future__ import annotations
@@ -501,21 +501,6 @@ def slice_(a, key) -> Tensor:
         buf = np.zeros_like(a.data)
         buf[key] = g
         a._accum(buf)
-
-    return _make(out_data, (a,), bw, madds=0)
-
-
-def pad_axis(a, axis: int, before: int, after: int) -> Tensor:
-    """Zero padding along one axis."""
-    a = _lift(a)
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    out_data = np.pad(a.data, widths)
-
-    def bw(g):
-        idx = [slice(None)] * a.ndim
-        idx[axis] = slice(before, before + a.shape[axis])
-        a._accum(g[tuple(idx)])
 
     return _make(out_data, (a,), bw, madds=0)
 

@@ -28,8 +28,9 @@ from .errors import ConfigError, DegenerateSynthesisError, FormatError, Training
 from .fileformats import read_arrays, write_arrays, write_mel
 from .model import (Batch, ForwardOutputs, ModelConfig, ModelHyperparams,
                     SynthesisModel, make_batch)
-from .module import RandomSource
+from .module import RandomSource, load_checked
 from .tensor import Parameter, Tensor, backward, constant, no_grad
+from .upsample import frame_layout
 
 
 @dataclass
@@ -130,17 +131,8 @@ class NesterovMomentum:
         return {f"velocity/{n}": v for n, v in self.velocity.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every velocity; FormatError when an entry is missing or has
-        another shape.  Every entry is checked before any is assigned."""
-        for n, v in self.velocity.items():
-            key = f"velocity/{n}"
-            if key not in arrays:
-                raise FormatError(f"optimizer state missing {key}")
-            shape = np.shape(arrays[key])
-            if shape != v.shape:
-                raise FormatError(f"shape mismatch for {key}: file {shape} vs model {v.shape}")
-        for n, v in self.velocity.items():
-            self.velocity[n] = np.asarray(arrays[f"velocity/{n}"], dtype=v.dtype).copy()
+        """Overwrite every velocity, as ``module.load_checked`` does."""
+        load_checked(self.state_arrays(), arrays)
 
 
 # -- run configuration --------------------------------------------------------------
@@ -355,33 +347,29 @@ def save_state(state: TrainState, path) -> None:
 
 
 def load_state(state: TrainState, path) -> None:
-    """Restore the model, optimizer and step; FormatError names the file, and the
-    first missing entry or the mismatch, when ``path`` is not a training state
-    of this model."""
+    """Restore the model, optimizer and step, all or nothing; FormatError names
+    the file and the mismatch when ``path`` is not a training state of this
+    model, and then nothing of ``state`` has changed."""
     arrays = read_arrays(path)
-    needed = ["meta/step", *state.optimizer.state_arrays(), *state.model.state_arrays()]
-    missing = [k for k in needed if k not in arrays]
-    if missing:
-        more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
-        raise FormatError(f"{path} is not a training state of this model: "
-                          f"it lacks {missing[0]}{more}")
-    step = int(arrays.pop("meta/step"))
-    velocities = {k: v for k, v in arrays.items() if k.startswith("velocity/")}
-    params = {k: v for k, v in arrays.items() if not k.startswith("velocity/")}
+    count = arrays.get("meta/step")
+    if count is not None and np.ndim(count) == 0 and not (count >= 0 and float(count).is_integer()):
+        raise FormatError(f"{path}: meta/step {float(count)!r} is not a step count")
+    step = np.zeros(())
     try:
-        state.model.load_state_arrays(params)
-        state.optimizer.load_state_arrays(velocities)
+        load_checked({**state.model.state_arrays(), **state.optimizer.state_arrays(),
+                      "meta/step": step}, arrays)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    state.step = step
+    state.step = int(step)
 
 
 def train_step(state: TrainState, batch: Batch, cfg: TrainConfig,
                rng: np.random.Generator) -> dict:
     step = state.step + 1
     beta = cfg.beta_at(step)
-    out = state.model.forward_train(batch, rng=rng, training=True,
-                                    sample=cfg.sample_posterior, iterative=cfg.iterative_loss)
+    out = state.model.forward_train(batch, dropout_rng=rng,
+                                    sample_rng=rng if cfg.sample_posterior else None,
+                                    iterative=cfg.iterative_loss)
     loss = total_loss(cfg.variant, LossTerms.from_outputs(out, cfg.lambda_dur, beta))
     if not np.isfinite(loss.data):
         raise TrainingDiverged(f"non-finite loss {loss.data!r} at step {step}")
@@ -404,18 +392,16 @@ def format_metrics_row(row: dict) -> str:
     return ",".join(repr(row[c]) if c != "step" else str(row[c]) for c in METRIC_COLUMNS)
 
 
-def train(cfg: TrainConfig, utterances, out_dir, frame_rate: float, mel_bins: int,
-          vocab_size: int, num_speakers: int, resume_from=None, log=None,
+def train(state: TrainState, cfg: TrainConfig, utterances, out_dir, log=None,
           stop_check=None) -> dict:
-    """Run the loop; writes metrics.csv and state/model checkpoints under out_dir."""
+    """Run the loop from ``state`` (fresh from ``build_state``, or loaded by
+    ``load_state`` to resume); writes metrics.csv, with its header when the
+    state is at step 0, and state/model checkpoints under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = RandomSource(cfg.seed)
-    state = build_state(cfg, vocab_size, num_speakers, mel_bins, frame_rate)
     metrics_path = out_dir / "metrics.csv"
-    if resume_from is not None:
-        load_state(state, resume_from)
-    else:
+    if state.step == 0:
         metrics_path.write_text(",".join(METRIC_COLUMNS) + "\n")
     last = {}
     with open(metrics_path, "a") as metrics:
@@ -448,7 +434,8 @@ def _decode_rows(model: SynthesisModel, hidden: Tensor, frames_by_row: dict) -> 
     for i, row_frames in enumerate(frames_by_row.values()):
         frames[i, :len(row_frames)] = row_frames
     with no_grad():
-        mels = model.decode(constant(hidden.data[list(frames_by_row)]), frames)[-1].data
+        mels = model.decode(constant(hidden.data[list(frames_by_row)]),
+                            frame_layout(frames))[-1].data
     return [mel[:total] for mel, total in zip(mels, frames.sum(axis=1))]
 
 
@@ -478,14 +465,13 @@ def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
         if mode == "teacher":
             out = model.teacher_forward(batch)
             pred = out.predictions[-1].data
-            mask = batch.frame_mask[:, :, None]
-            abs_err += float((np.abs(pred - batch.mel) * mask).sum())
+            mask = out.layout.mask
+            abs_err += float((np.abs(pred - batch.mel) * mask[:, :, None]).sum())
             n_cells += float(mask.sum()) * batch.mel.shape[2]
             dur = out.duration_pred
             if dump_dir is not None:
                 for row, utt_i in enumerate(idx):
-                    write_mel(dump_dir / f"utt_{utt_i:04d}.mel",
-                              pred[row][batch.frame_mask[row] > 0])
+                    write_mel(dump_dir / f"utt_{utt_i:04d}.mel", pred[row][mask[row] > 0])
         else:
             dur = model.predict_durations_free(batch.tokens, batch.speakers, batch.token_mask)
         p_z = dur.p_z.data

@@ -1,9 +1,12 @@
 """Duration-driven upsampling and frame-position features.
 
-Each token's vector is repeated for its frame count; three positional
-features (within-phoneme sinusoid, duration sinusoid, fractional progression)
-are blended by per-channel softmax weights and added to the upsampled stream,
-which keeps unit weight.
+A ``FrameLayout``, built once from a batch's integer frame counts, says where
+every frame comes from: its token, its offset inside that token, and whether
+it is padding.  Upsampling repeats each token's vector for its frame count by
+a gather along that layout; three positional features (within-phoneme
+sinusoid, duration sinusoid, fractional progression) are blended by
+per-channel softmax weights and added to the upsampled stream, which keeps
+unit weight.  Padding frames read zero rows everywhere.
 """
 
 from __future__ import annotations
@@ -20,16 +23,27 @@ from .tensor import Parameter, Tensor
 
 
 @dataclass
+class FrameLayout:
+    frames: np.ndarray     # [B, N] int frame count per token
+    index_map: np.ndarray  # [B, T] token index per frame, -1 at padding
+    offsets: np.ndarray    # [B, T] frame index inside its token, 0 at padding
+    mask: np.ndarray       # [B, T] float, 1 at valid frames
+
+
+@dataclass
 class PositionalFeatures:
     within: Tensor      # [B, T, d] sinusoid of frame index inside its phoneme
     duration: Tensor    # [B, T, d] sinusoid of the phoneme's frame count
     fraction: Tensor    # [B, T, 1] progression j/f in [0, 1)
     frame_mask: np.ndarray  # [B, T]
-    index_map: np.ndarray   # [B, T] token index per frame, -1 at padding
 
 
-def frame_layout(frames: np.ndarray, pad_to: int | None = None):
-    """Per-frame (token index, offset within token) arrays padded to the batch max."""
+def frame_layout(frames: np.ndarray, pad_to: int | None = None) -> FrameLayout:
+    """The layout of integer frame counts over the longest row, or over ``pad_to`` frames.
+
+    ShapeError for a negative count, a row with no frames, or a ``pad_to``
+    shorter than the longest row.
+    """
     frames = np.asarray(frames, dtype=int)
     if np.any(frames < 0):
         raise ShapeError("negative frame counts are not allowed")
@@ -51,38 +65,32 @@ def frame_layout(frames: np.ndarray, pad_to: int | None = None):
     offsets = np.zeros((b, t_max), dtype=int)
     index_map[valid] = np.repeat(np.tile(np.arange(n), b), counts)
     offsets[valid] = np.arange(counts.sum()) - starts
-    return index_map, offsets, valid.astype(float)
+    return FrameLayout(frames, index_map, offsets, valid.astype(float))
 
 
-def upsample(hidden: Tensor, frames: np.ndarray):
-    """Repeat token vectors per duration: [B,N,d] -> [B,T,d] plus the index map.
+def upsample(hidden: Tensor, layout: FrameLayout) -> Tensor:
+    """Repeat token vectors per duration: [B,N,d] -> [B,T,d].
 
     An index gather over the token rows of the whole batch (the length
     regulator of FastSpeech): padding frames read a zero row, and each
     token's gradient is the sum over its emitted frames.
     """
-    index_map, _, mask = frame_layout(frames)
     b, n, d = hidden.shape
+    index_map = layout.index_map
     rows = np.where(index_map >= 0, index_map + n * np.arange(b)[:, None], -1)
-    out = pt.gather_rows(pt.reshape(hidden, (b * n, d)), rows)
-    return out, index_map, mask
+    return pt.gather_rows(pt.reshape(hidden, (b * n, d)), rows)
 
 
-def positional_features(frames: np.ndarray, dim: int, pad_to: int | None = None) -> PositionalFeatures:
-    """Per-frame positional features from integer frame counts."""
-    frames = np.asarray(frames, dtype=int)
-    index_map, offsets, mask = frame_layout(frames, pad_to)
-    b, t_max = index_map.shape
-    safe_index = np.maximum(index_map, 0)
-    dur_per_frame = np.take_along_axis(frames, safe_index, axis=1).astype(float)
-    offs = offsets.astype(float)
-    valid = (index_map >= 0).astype(float)
+def positional_features(layout: FrameLayout, dim: int) -> PositionalFeatures:
+    """Per-frame positional features along a frame layout; zero at padding."""
+    valid = layout.mask
+    dur_per_frame = np.take_along_axis(layout.frames, np.maximum(layout.index_map, 0),
+                                       axis=1).astype(float)
+    offs = layout.offsets.astype(float)
     within = sinusoidal_embedding(offs * valid, dim) * valid[:, :, None]
     duration = sinusoidal_embedding(dur_per_frame * valid, dim) * valid[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(valid > 0, offs / np.maximum(dur_per_frame, 1.0), 0.0)
-    fraction = pt.constant(frac[:, :, None])
-    return PositionalFeatures(within, duration, fraction, mask, index_map)
+    frac = np.where(valid > 0, offs / np.maximum(dur_per_frame, 1.0), 0.0)
+    return PositionalFeatures(within, duration, pt.constant(frac[:, :, None]), valid)
 
 
 class FeatureCombiner(Module):

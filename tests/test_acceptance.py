@@ -57,9 +57,9 @@ def overfit_runs(corpus16, tmp_path_factory):
     started = time.time()
     for variant in ("novae", "global", "fine"):
         cfg = overfit_config(variant)
-        baseline_model = build_state(cfg, OVERFIT_SPEC.vocab_size, OVERFIT_SPEC.num_speakers,
-                                     OVERFIT_SPEC.mel_bins, OVERFIT_SPEC.frame_rate).model
-        untrained = evaluate(baseline_model, corpus16, mode="teacher")["spec_l1"]
+        state = build_state(cfg, OVERFIT_SPEC.vocab_size, OVERFIT_SPEC.num_speakers,
+                            OVERFIT_SPEC.mel_bins, OVERFIT_SPEC.frame_rate)
+        untrained = evaluate(state.model, corpus16, mode="teacher")["spec_l1"]
         snapshots = {}
 
         def stop_check(state, row, _untrained=untrained, _snaps=snapshots):
@@ -72,9 +72,7 @@ def overfit_runs(corpus16, tmp_path_factory):
                     and metrics["frame_mae"] <= 0.9)
 
         out_dir = tmp_path_factory.mktemp(f"overfit_{variant}")
-        result = train(cfg, corpus16, out_dir, frame_rate=OVERFIT_SPEC.frame_rate,
-                       mel_bins=OVERFIT_SPEC.mel_bins, vocab_size=OVERFIT_SPEC.vocab_size,
-                       num_speakers=OVERFIT_SPEC.num_speakers, stop_check=stop_check)
+        result = train(state, cfg, corpus16, out_dir, stop_check=stop_check)
         model = result["state"].model
         teacher = evaluate(model, corpus16, mode="teacher")
         free = evaluate(model, corpus16, mode="free")
@@ -201,7 +199,7 @@ def test_vae_kl_monte_carlo_and_nonnegativity():
 
 def test_prior_gradient_exactly_zero_into_posterior():
     with pt.precision("high"):
-        from paravox.upsample import positional_features
+        from paravox.upsample import frame_layout, positional_features
         from paravox.encoder import EncoderOutput
         rng = np.random.default_rng(0)
         fp = vae.FinePosterior(8, 16, 8, 16, 2, 3, 8, np.random.default_rng(1), blocks=1)
@@ -209,7 +207,7 @@ def test_prior_gradient_exactly_zero_into_posterior():
         prior = vae.FinePriorLSTM(16, 8, 8, 8, np.random.default_rng(2))
         frames = np.array([[3, 2, 4]])
         mel = Tensor(rng.normal(size=(1, 9, 8)))
-        feats = positional_features(frames, 16)
+        feats = positional_features(frame_layout(frames), 16)
         spk = Tensor(rng.normal(size=(1, 8)))
         enc = EncoderOutput(Tensor(rng.normal(size=(1, 3, 16))), np.ones((1, 3)))
         post = fp(mel, feats, spk, enc)

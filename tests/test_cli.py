@@ -229,6 +229,24 @@ def test_resume_with_misshapen_velocity_is_runtime_error(tmp_path, novae_run, ca
     assert str(state) in err and "velocity/encoder.embedding" in err and "(1,)" in err
 
 
+def test_rejected_resume_state_leaves_no_run_directory(tmp_path, novae_run, capsys):
+    corpus, run = novae_run
+    arrays = read_arrays(run / "state.ckpt")
+    arrays["encoder.embedding"] = np.zeros(3)
+    bad = tmp_path / "bad.ckpt"
+    write_arrays(bad, arrays)
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=4)
+    out = tmp_path / "again"
+    args = ["train", "--config", str(cfg), "--corpus", str(corpus), "--variant", "novae",
+            "--out", str(out), "--resume"]
+    capsys.readouterr()
+    assert main(args + [str(bad)]) == EXIT_RUNTIME
+    assert "encoder.embedding" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + [str(run / "state.ckpt")]) == EXIT_OK
+    assert (out / "state.ckpt").exists()
+
+
 def test_train_resume_from_model_checkpoint_is_runtime_error(tmp_path, corpus_dir, capsys):
     cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=2)
     run = tmp_path / "run"

@@ -19,6 +19,10 @@ def make_decoder(kind="lconv", blocks=3, d=8, mel=6, heads=2, k=3, seed=0):
                                       np.random.default_rng(seed)).finalize_names("dec.")
 
 
+def every_frame(target):
+    return np.ones(target.shape[:2])
+
+
 def test_decode_output_list_shapes():
     dec = make_decoder(blocks=6)
     x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 8)))
@@ -47,7 +51,7 @@ def test_decoder_gradcheck(kind):
     target = Tensor(np.random.default_rng(4).normal(size=(1, 4, 6)))
 
     def loss():
-        return decoder.iterative_spec_loss(dec(x), target)
+        return decoder.iterative_spec_loss(dec(x), target, every_frame(target))
 
     report = grad_check(loss, dec.parameters(), max_entries=25)
     assert report.passed, report.format_table()
@@ -73,14 +77,15 @@ def scalar_loop_l1(preds, target, mask):
 def test_iterative_loss_zero_for_perfect_prediction():
     target = np.random.default_rng(5).normal(size=(1, 4, 6))
     preds = [Tensor(target.copy()) for _ in range(3)]
-    assert decoder.iterative_spec_loss(preds, target).data == pytest.approx(0.0)
+    loss = decoder.iterative_spec_loss(preds, target, every_frame(target))
+    assert loss.data == pytest.approx(0.0)
 
 
 def test_single_block_constant_offset_normalization():
     target = np.zeros((1, 4, 6))
     c = 0.37
     preds = [Tensor(np.full((1, 4, 6), c))]
-    assert decoder.iterative_spec_loss(preds, target).data == pytest.approx(c)
+    assert decoder.iterative_spec_loss(preds, target, every_frame(target)).data == pytest.approx(c)
 
 
 def test_losses_match_scalar_oracle():
@@ -100,8 +105,8 @@ def test_single_equals_iterative_for_one_block():
     rng = np.random.default_rng(7)
     target = rng.normal(size=(1, 3, 4))
     preds = [Tensor(rng.normal(size=(1, 3, 4)))]
-    a = decoder.iterative_spec_loss(preds, target)
-    b = decoder.single_spec_loss(preds, target)
+    a = decoder.iterative_spec_loss(preds, target, every_frame(target))
+    b = decoder.single_spec_loss(preds, target, every_frame(target))
     assert float(a.data) == pytest.approx(float(b.data), abs=1e-15)
 
 
@@ -109,10 +114,12 @@ def test_single_equals_last_summand_of_iterative():
     rng = np.random.default_rng(8)
     target = rng.normal(size=(2, 4, 5))
     preds = [Tensor(rng.normal(size=(2, 4, 5))) for _ in range(4)]
-    partials = [float(decoder.single_spec_loss([p], target).data) for p in preds]
-    it = float(decoder.iterative_spec_loss(preds, target).data)
+    mask = every_frame(target)
+    partials = [float(decoder.single_spec_loss([p], target, mask).data) for p in preds]
+    it = float(decoder.iterative_spec_loss(preds, target, mask).data)
     assert it == pytest.approx(sum(partials), abs=1e-12)
-    assert float(decoder.single_spec_loss(preds, target).data) == pytest.approx(partials[-1], abs=1e-15)
+    assert float(decoder.single_spec_loss(preds, target, mask).data) == pytest.approx(partials[-1],
+                                                                                      abs=1e-15)
 
 
 def test_iterative_decomposition_identity_high_precision():
@@ -132,10 +139,11 @@ def test_projections_are_independent_per_block():
     dec = make_decoder(blocks=3)
     x = Tensor(np.random.default_rng(10).normal(size=(1, 4, 8)))
     target = np.random.default_rng(11).normal(size=(1, 4, 6))
-    base = [float(decoder.single_spec_loss([p], target).data) for p in dec(x)]
+    mask = every_frame(target)
+    base = [float(decoder.single_spec_loss([p], target, mask).data) for p in dec(x)]
     dec.projections[1].weight.data[:] = 0.0
     dec.projections[1].bias.data[:] = 0.0
-    changed = [float(decoder.single_spec_loss([p], target).data) for p in dec(x)]
+    changed = [float(decoder.single_spec_loss([p], target, mask).data) for p in dec(x)]
     assert changed[0] == pytest.approx(base[0], abs=1e-15)
     assert changed[2] == pytest.approx(base[2], abs=1e-15)
     assert changed[1] != pytest.approx(base[1])

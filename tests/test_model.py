@@ -70,7 +70,8 @@ def test_parameter_names_unique_and_hierarchical(tiny_spec):
 def test_forward_shapes(tiny_spec, tiny_corpus, variant):
     model = build(tiny_spec, variant)
     batch = make_batch(tiny_corpus[:4])
-    out = model.forward_train(batch, rng=np.random.default_rng(0), training=True)
+    rng = np.random.default_rng(0)
+    out = model.forward_train(batch, dropout_rng=rng, sample_rng=rng)
     assert len(out.predictions) == model.cfg.dec_blocks
     assert out.spec_loss.shape == ()
     for pred in out.predictions:
@@ -98,12 +99,42 @@ def test_training_upsampling_always_uses_ground_truth(tiny_spec, tiny_corpus):
     # corrupting the duration heads must not change training-mode spectrograms
     model = build(tiny_spec, "novae")
     batch = make_batch(tiny_corpus[:2])
-    out1 = model.forward_train(batch, rng=None, training=False, sample=False)
+    out1 = model.forward_train(batch)
     model.duration_predictor.gate_proj.weight.data[:] = 9.0
     model.duration_predictor.seconds_proj.weight.data[:] = -9.0
-    out2 = model.forward_train(batch, rng=None, training=False, sample=False)
+    out2 = model.forward_train(batch)
     for a, b in zip(out1.predictions, out2.predictions):
         assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("variant", ["global", "fine"])
+def test_forward_without_generators_is_the_deterministic_teacher_pass(tiny_spec, tiny_corpus,
+                                                                      variant):
+    model = build(tiny_spec, variant)
+    batch = make_batch(tiny_corpus[:3])
+    plain = model.forward_train(batch)
+    again = model.forward_train(batch)
+    teacher = model.teacher_forward(batch)
+    for out in (again, teacher):
+        assert np.array_equal(out.spec_loss.data, plain.spec_loss.data)
+        assert np.array_equal(out.kl_per_utterance.data, plain.kl_per_utterance.data)
+        for a, b in zip(out.predictions, plain.predictions):
+            assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("variant", ["global", "fine"])
+def test_sample_generator_alone_draws_the_latent(tiny_spec, tiny_corpus, variant):
+    model = build(tiny_spec, variant)
+    batch = make_batch(tiny_corpus[:3])
+    first = model.forward_train(batch, sample_rng=np.random.default_rng(5))
+    second = model.forward_train(batch, sample_rng=np.random.default_rng(5))
+    mean = model.forward_train(batch)
+    assert np.array_equal(first.spec_loss.data, second.spec_loss.data)
+    for a, b in zip(first.predictions, second.predictions):
+        assert np.array_equal(a.data, b.data)
+    # the posterior is the same with and without sampling: dropout stayed off
+    assert np.array_equal(first.posterior.mean.data, mean.posterior.mean.data)
+    assert not np.array_equal(first.predictions[-1].data, mean.predictions[-1].data)
 
 
 def test_synthesize_deterministic(tiny_spec, tiny_corpus):
@@ -245,10 +276,33 @@ def test_training_state_resume_is_bit_exact(tiny_spec, tiny_corpus, tmp_path):
     assert losses_resumed == losses_straight[6:]
 
 
+def test_failed_state_load_changes_nothing(tiny_spec, tiny_corpus, tmp_path):
+    cfg = tiny_train_config(variant="global", batch_size=4)
+    model = build(tiny_spec, "global")
+    state = TrainState(model, NesterovMomentum(model.named_parameters(), cfg.momentum))
+    for step in (1, 2):
+        rng = np.random.default_rng(step)
+        train_step(state, select_batch(tiny_corpus, cfg, rng), cfg, rng)
+    save_state(state, tmp_path / "state.ckpt")
+    good = read_arrays(tmp_path / "state.ckpt")
+    before = {name: arr.copy() for name, arr in {**state.model.state_arrays(),
+                                                 **state.optimizer.state_arrays()}.items()}
+    # every entry differs from the state in memory, and one of them is malformed
+    shifted = {name: arr + 1.0 for name, arr in good.items()}
+    last = list(state.optimizer.state_arrays())[-1]
+    for culprit, value in [(last, np.zeros(good[last].shape + (2,))),
+                           ("meta/step", np.zeros(2)), ("meta/step", np.array(np.nan))]:
+        write_arrays(tmp_path / "bad.ckpt", {**shifted, culprit: value})
+        with pytest.raises(FormatError, match=re.escape(culprit)):
+            load_state(state, tmp_path / "bad.ckpt")
+        assert state.step == 2
+        for name, arr in {**state.model.state_arrays(), **state.optimizer.state_arrays()}.items():
+            assert np.array_equal(arr, before[name]), name
+
+
 def test_mel_longer_than_frames_rejected_when_shorter(tiny_spec, tiny_corpus):
     model = build(tiny_spec, "novae")
     batch = make_batch(tiny_corpus[:2])
     batch.mel = batch.mel[:, :-3]
-    batch.frame_mask = batch.frame_mask[:, :-3]
     with pytest.raises(ShapeError):
-        model.forward_train(batch, rng=None, training=False)
+        model.forward_train(batch)

@@ -256,11 +256,6 @@ def test_shape_ops_gradients():
     assert np.array_equal(a.grad, np.ones((2, 2)))
     assert np.array_equal(b.grad, np.ones((2, 3)))
 
-    c = Parameter(rng.normal(size=(2, 3)))
-    out4 = pt.pad_axis(c, 1, 2, 1)[:, 2:5].sum()
-    backward(out4)
-    assert np.array_equal(c.grad, np.ones((2, 3)))
-
 
 def test_strided_slice_gradient():
     x = Parameter(np.arange(10.0))

@@ -233,7 +233,7 @@ def build_tiny_model(tiny_spec, variant, seed=0):
 def test_spec_loss_gradient_never_reaches_duration_heads(tiny_spec, tiny_corpus):
     model = build_tiny_model(tiny_spec, "novae")
     batch = make_batch(tiny_corpus)
-    out = model.forward_train(batch, rng=np.random.default_rng(0), training=False)
+    out = model.forward_train(batch, sample_rng=np.random.default_rng(0))
     model.zero_grad()
     backward(out.spec_loss)
     for name, p in model.duration_predictor.named_parameters("duration_predictor."):
@@ -248,7 +248,7 @@ def test_spec_loss_gradient_never_reaches_duration_heads(tiny_spec, tiny_corpus)
 def test_padding_leaves_total_loss_unchanged(tiny_spec, tiny_corpus):
     model = build_tiny_model(tiny_spec, "global")
     batch = make_batch(tiny_corpus[:3])
-    out = model.forward_train(batch, rng=None, training=False, sample=False)
+    out = model.forward_train(batch)
     loss = float(total_loss("global", LossTerms.from_outputs(out, 1.0, 1.0)).data)
 
     padded = make_batch(tiny_corpus[:3])
@@ -259,8 +259,7 @@ def test_padding_leaves_total_loss_unchanged(tiny_spec, tiny_corpus):
     t = padded.mel.shape[1]
     padded.mel = np.concatenate([padded.mel, np.full((b, 3, padded.mel.shape[2]), 0.7,
                                                      dtype=padded.mel.dtype)], axis=1)
-    padded.frame_mask = np.concatenate([padded.frame_mask, np.zeros((b, 3))], axis=1)
-    out2 = model.forward_train(padded, rng=None, training=False, sample=False)
+    out2 = model.forward_train(padded)
     loss2 = float(total_loss("global", LossTerms.from_outputs(out2, 1.0, 1.0)).data)
     assert loss2 == pytest.approx(loss, rel=1e-5)
 

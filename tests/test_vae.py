@@ -7,7 +7,7 @@ from paravox.encoder import EncoderOutput
 from paravox.errors import ShapeError
 from paravox.gradcheck import grad_check
 from paravox.tensor import Tensor
-from paravox.upsample import positional_features
+from paravox.upsample import frame_layout, positional_features
 
 
 @pytest.fixture(autouse=True)
@@ -165,7 +165,7 @@ def fine_inputs(b=1, n=3, mel_bins=6, d_model=8, spk=4, seed=1, frames=None):
     frames = np.array([[3, 2, 4]] * b) if frames is None else frames
     t = int(frames.sum(axis=1).max())
     mel = Tensor(rng.normal(size=(b, t, mel_bins)))
-    feats = positional_features(frames, d_model)
+    feats = positional_features(frame_layout(frames), d_model)
     spk_emb = Tensor(rng.normal(size=(b, spk)))
     enc = make_enc(b, n, d_model, seed + 1)
     return mel, feats, spk_emb, enc
@@ -175,7 +175,7 @@ def test_fine_posterior_attention_rows_sum_to_one():
     # tokens [B, N, d] attend over frames [B, T, d] under the frame mask, as in
     # FinePosterior
     rng = np.random.default_rng(0)
-    feats = positional_features(np.array([[3, 2, 4], [1, 2, 0]]), 8)
+    feats = positional_features(frame_layout(np.array([[3, 2, 4], [1, 2, 0]])), 8)
     q = Tensor(rng.normal(size=(2, 3, 8)))
     k = Tensor(rng.normal(size=(2, 9, 8)))
     weights = blocks.attention_weights(q, k, feats.frame_mask).data
