@@ -4,8 +4,14 @@ The workhorse is the lightweight-convolution block: a gated linear unit, a
 depthwise convolution whose kernel taps are softmax-normalized over time and
 shared across channel groups ("heads"), then a 4x feedforward.  Both it and
 the self-attention block use pre-norm residual sublayers.  Masks are float
-[B, T] arrays (1 = valid); blocks zero their masked rows on exit so padding
-never leaks.
+[B, T] arrays (1 = valid).
+
+The two sequence blocks run their row-wise sublayers (norms, projections,
+GLU, feed-forward, dropout, residual adds) on the valid rows only, packed
+into [M, d] by ``Rows``.  They unpack to [B, T, d] only around the op that
+reads neighbouring rows, the lightweight conv or the attention, and once on
+exit; unpacking leaves exact zero rows at padding, so padding never leaks and
+is never masked again.  Without padding, packing is the identity.
 """
 
 from __future__ import annotations
@@ -22,6 +28,27 @@ def apply_mask(x: Tensor, mask) -> Tensor:
     if mask is None:
         return x
     return x * np.asarray(mask)[:, :, None]
+
+
+class Rows:
+    """The valid rows of a [B, T] mask (1 = valid), as flat ids into B * T.
+
+    ``pack`` takes [B, T, d] to the [M, d] valid rows and ``unpack`` takes them
+    back, with zero rows at padding.  With no mask, or a mask without a zero,
+    both are the identity and add no graph node.
+    """
+
+    def __init__(self, mask):
+        self.mask = mask
+        valid = None if mask is None else np.asarray(mask)
+        self.ids = None if valid is None or valid.all() else np.flatnonzero(valid)
+        self.padded = None if valid is None else valid.shape
+
+    def pack(self, x: Tensor) -> Tensor:
+        return x if self.ids is None else pt.move_rows(x, self.ids)
+
+    def unpack(self, x: Tensor) -> Tensor:
+        return x if self.ids is None else pt.move_rows(x, self.ids, self.padded)
 
 
 def repeat_over_positions(x: Tensor, n: int) -> Tensor:
@@ -78,9 +105,9 @@ class LayerNorm(Module):
 class LightweightConv(Module):
     """Depthwise conv sharing one kernel per head, taps softmax-normalized.
 
-    Centered (non-causal) window with zero padding; masked positions do not
-    contribute.  Their output rows are not zeroed: ``LConvBlock`` masks once on
-    exit, after only row-wise ops.
+    Centered (non-causal) window with zero padding.  The input must hold zero
+    rows at padded positions (``Rows.unpack`` leaves them so), which then do
+    not contribute; output rows at padding are not zeroed.
     """
 
     def __init__(self, dim: int, heads: int, kernel_size: int, rng: np.random.Generator):
@@ -96,8 +123,8 @@ class LightweightConv(Module):
     def normalized_kernel(self) -> Tensor:
         return pt.softmax(self.kernel, axis=1)
 
-    def __call__(self, x: Tensor, mask=None) -> Tensor:
-        return pt.lightweight_conv(apply_mask(x, mask), self.normalized_kernel())
+    def __call__(self, x: Tensor) -> Tensor:
+        return pt.lightweight_conv(x, self.normalized_kernel())
 
 
 class LConvBlock(Module):
@@ -116,18 +143,16 @@ class LConvBlock(Module):
         self.norm2 = LayerNorm(dim)
         self.ff1 = Linear(dim, 4 * dim, rng)
         self.ff2 = Linear(4 * dim, dim, rng)
-        self.dim = dim
         self.dropout = dropout
 
     def __call__(self, x: Tensor, mask=None, rng=None) -> Tensor:
-        d = self.dim
-        g = self.glu_proj(self.norm1(x))
-        h = g[:, :, :d] * pt.sigmoid(g[:, :, d:])
-        h = self.conv(h, mask)
+        rows = Rows(mask)
+        x = rows.pack(x)
+        h = pt.glu(self.glu_proj(self.norm1(x)))
+        h = rows.pack(self.conv(rows.unpack(h)))
         x = x + pt.dropout(h, self.dropout, rng)
         f = pt.dropout(pt.relu(self.ff1(self.norm2(x))), self.dropout, rng)
-        x = x + self.ff2(f)
-        return apply_mask(x, mask)
+        return rows.unpack(x + self.ff2(f))
 
 
 class MultiHeadSelfAttention(Module):
@@ -143,7 +168,13 @@ class MultiHeadSelfAttention(Module):
         self.heads = heads
         self.dim = dim
 
-    def __call__(self, x: Tensor, mask=None) -> Tensor:
+    def __call__(self, x: Tensor, rows: Rows | None = None) -> Tensor:
+        """Packed rows in and out: ``rows`` unpacks ``x`` to [B, T, d] for the
+        q/k/v projections and the attention over its mask, then packs the
+        context for the output projection.  Without ``rows``, x is [B, T, d]
+        with no padding."""
+        rows = Rows(None) if rows is None else rows
+        x = rows.unpack(x)
         b, t, d = x.shape
         h = self.heads
         dh = d // h
@@ -152,8 +183,8 @@ class MultiHeadSelfAttention(Module):
             return pt.transpose(pt.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
 
         q, k, v = split(self.q(x)), split(self.k(x)), split(self.v(x))
-        ctx = pt.matmul(attention_weights(q, k, mask), v)
-        return self.out(pt.reshape(pt.transpose(ctx, (0, 2, 1, 3)), (b, t, d)))
+        ctx = pt.matmul(attention_weights(q, k, rows.mask), v)
+        return self.out(rows.pack(pt.reshape(pt.transpose(ctx, (0, 2, 1, 3)), (b, t, d))))
 
 
 class TransformerBlock(Module):
@@ -168,11 +199,11 @@ class TransformerBlock(Module):
         self.dropout = dropout
 
     def __call__(self, x: Tensor, mask=None, rng=None) -> Tensor:
-        a = self.attn(self.norm1(x), mask)
-        x = x + pt.dropout(a, self.dropout, rng)
+        rows = Rows(mask)
+        x = rows.pack(x)
+        x = x + pt.dropout(self.attn(self.norm1(x), rows), self.dropout, rng)
         f = pt.dropout(pt.relu(self.ff1(self.norm2(x))), self.dropout, rng)
-        x = x + self.ff2(f)
-        return apply_mask(x, mask)
+        return rows.unpack(x + self.ff2(f))
 
 
 class ConvBlock(Module):

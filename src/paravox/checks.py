@@ -27,11 +27,12 @@ def _weighted(out: Tensor, seed: int) -> Tensor:
 
 def check_tensor_ops() -> GradCheckReport:
     """Element-wise ops and every fused op: softmax, layer_norm, a lightweight
-    conv (odd width, one masked row), a strided conv1d, an lstm (B=2, N=4) and
-    bce_with_logits, plus a row gather with negative (zero-row) ids.
+    conv (odd width, one masked row), a strided conv1d, an lstm (B=2, N=4),
+    bce_with_logits and glu, plus a row gather with negative (zero-row) ids
+    and a pack then unpack of the rows of a [2, 3] layout with two padded.
     The convs' input gradients are checked through ``w``, which feeds them; the
-    lstm's input, the bce logits and targets and the gather table are
-    parameters of their own."""
+    lstm's input, the bce logits and targets, the gather table and the glu
+    input are parameters of their own."""
     rng = np.random.default_rng(0)
     w = pt.Parameter(rng.normal(size=(6, 6)), "w")
     gain = pt.Parameter(np.ones(6), "gain")
@@ -51,6 +52,8 @@ def check_tensor_ops() -> GradCheckReport:
     bce_targets = pt.Parameter(rng_extra.random((2, 5)), "bce_targets")
     table = pt.Parameter(rng_extra.normal(size=(4, 3)), "gather_table")
     ids = np.array([[0, 2, -1, 2], [3, -1, 1, 0]])
+    glu_in = pt.Parameter(rng_extra.normal(size=(2, 3, 4)), "glu_input")
+    valid_rows = np.array([0, 2, 3, 5])
 
     def f():
         h = pt.matmul(x, w)
@@ -61,11 +64,13 @@ def check_tensor_ops() -> GradCheckReport:
         r = pt.lstm(lstm_x, lstm_wx, lstm_wh, lstm_b)
         ce = pt.bce_with_logits(bce_logits, bce_targets)
         rows = pt.gather_rows(table, ids)
+        packed = pt.move_rows(pt.glu(glu_in), valid_rows)
+        moved = pt.move_rows(packed * packed, valid_rows, (2, 3))
         return (h * mix).sum() + _weighted(s, 31) + _weighted(r, 37) + _weighted(ce, 39) \
-            + _weighted(rows, 40)
+            + _weighted(rows, 40) + _weighted(moved, 41)
 
     return grad_check(f, [w, gain, bias, taps, conv_w, conv_b, lstm_x, lstm_wx, lstm_wh, lstm_b,
-                          bce_logits, bce_targets, table])
+                          bce_logits, bce_targets, table, glu_in])
 
 
 def check_blocks() -> GradCheckReport:

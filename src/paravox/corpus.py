@@ -248,12 +248,15 @@ def read_corpus(path) -> tuple[list[Utterance], CorpusHeader]:
     _check_header(r, CORPUS_MAGIC)
     header = CorpusHeader(r.f64(), r.u32(), r.u32(), r.u32())
     out = []
-    for _ in range(r.u32()):
+    for i in range(r.u32()):
         speaker = r.u32()
         n = r.u32()
         tokens = r.u32_array(n)
         durations = r.u32_array(n)
         frames = r.u32()
+        if durations.sum() != frames:
+            raise FormatError(f"{r.label}: utterance {i} has durations summing to "
+                              f"{durations.sum()} frames but {frames} mel frames")
         mel = r.f64_array(frames * header.mel_bins, (frames, header.mel_bins))
         out.append(Utterance(tokens, speaker, durations, mel))
     return out, header

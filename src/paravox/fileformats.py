@@ -17,6 +17,8 @@ Corpus container (magic ``PVOXCORP``, version 1)
     num_speakers[u32] count[u32] then per utterance:
         speaker[u32] n_tokens[u32] tokens[n x u32] durations[n x u32]
         frames[u32] values[frames*mel_bins x f64]
+    An utterance's durations sum to its frames; the reader rejects one that
+    does not.
 """
 
 from __future__ import annotations

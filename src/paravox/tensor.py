@@ -21,11 +21,11 @@ is read-only: only the node's own closure reads it, and a second contribution
 is summed into a new array laid out like the first.  Leaves own a private copy,
 because the optimizer and gradient clipping update ``.grad`` in place.
 
-The hot network ops are fused: ``softmax``, ``layer_norm``, ``conv1d`` (im2col
-and one matmul), ``lightweight_conv`` (a sliding window and one contraction),
-``lstm`` (one input GEMM over all steps, then the recurrence in numpy) and
-``bce_with_logits`` are each a single graph node with a hand-written numpy
-backward.
+The hot network ops are fused: ``softmax``, ``glu``, ``layer_norm``,
+``conv1d`` (im2col and one matmul), ``lightweight_conv`` (a sliding window and
+one contraction), ``lstm`` (one input GEMM over all steps, then the recurrence
+in numpy), ``dropout`` and ``bce_with_logits`` are each a single graph node
+with a hand-written numpy backward.
 
 Two run-level precisions exist: "standard" (float32) for training and "high"
 (float64) for finite-difference gradient checks.  The precision is a global
@@ -38,9 +38,9 @@ batch entry, ``conv1d`` k*d_in*d_out per output frame, ``lightweight_conv`` k
 per output element, and ``lstm`` B*N*4H*(d_in+H) for its input and recurrent
 projections.  Element-wise ops (``bce_with_logits`` among them), ``softmax``,
 ``layer_norm`` and ``gather_rows`` count one per output element, so the
-upsampler's frame gather costs T*d per utterance.  ``sum_`` counts one per
-input element, and shape ops (reshape, transpose, concat, slicing, expand)
-nothing.
+upsampler's frame gather costs T*d per utterance; ``glu`` counts two, its
+sigmoid and its product.  ``sum_`` counts one per input element, and shape
+ops (reshape, transpose, concat, slicing, expand, ``move_rows``) nothing.
 """
 
 from __future__ import annotations
@@ -555,6 +555,37 @@ def gather_rows(table, ids: np.ndarray) -> Tensor:
     return _make(out_data, (table,), bw)
 
 
+def move_rows(x, ids: np.ndarray, padded=None) -> Tensor:
+    """Copy rows between a padded layout and the packed rows ``ids`` pick.
+
+    ``ids`` are distinct flat ids into the leading axes of the padded layout.
+    Without ``padded`` this packs: ``x`` is [..., d] and the result is the
+    [M, d] rows ``x.reshape(-1, d)[ids]``.  With ``padded`` (the padded
+    layout's leading shape) it unpacks: ``x`` is [M, d] and the result is
+    ``padded + (d,)``, zero except at ``ids``, which hold the rows of ``x``.
+    The backward is the reverse indexed copy; the ids are distinct, so unlike
+    ``gather_rows`` nothing is summed.
+    """
+    x = _lift(x)
+    d = x.shape[-1]
+    if padded is None:
+        out_data = x.data.reshape(-1, d)[ids]
+
+        def bw(g):
+            buf = np.zeros_like(x.data)
+            buf.reshape(-1, d)[ids] = g
+            x._accum(buf)
+    else:
+        flat = np.zeros((int(np.prod(padded)), d), dtype=x.data.dtype)
+        flat[ids] = x.data
+        out_data = flat.reshape(tuple(padded) + (d,))
+
+        def bw(g):
+            x._accum(g.reshape(-1, d)[ids])
+
+    return _make(out_data, (x,), bw, madds=0)
+
+
 def stop_gradient(a) -> Tensor:
     return constant(a)
 
@@ -573,6 +604,30 @@ def softmax(a, axis: int) -> Tensor:
         a._accum(out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)))
 
     return _make(out_data, (a,), bw)
+
+
+def glu(x) -> Tensor:
+    """Gated linear unit over the last axis: a * sigmoid(b) for the halves [a | b].
+
+    The backward writes both halves' gradients into one buffer, g * s for
+    ``a`` and g * a * s * (1 - s) for ``b``, each evaluated in the order the
+    slice, sigmoid and product composite evaluates it.
+    """
+    x = _lift(x)
+    if x.shape[-1] % 2 != 0:
+        raise ShapeError(f"glu needs an even last axis, got shape {x.shape}")
+    d = x.shape[-1] // 2
+    a = x.data[..., :d]
+    s = _sigmoid(x.data[..., d:])
+
+    def bw(g):
+        buf = np.empty_like(x.data)
+        buf[..., :d] = g * s
+        buf[..., d:] = g * a * s * (1.0 - s)
+        x._accum(buf)
+
+    out_data = a * s
+    return _make(out_data, (x,), bw, madds=2 * out_data.size)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
@@ -747,12 +802,19 @@ def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted-scaling dropout; the identity without a generator or at rate 0.
 
     A generator is what switches dropout on: training passes one, evaluation
-    and inference pass None.
+    and inference pass None.  The keep mask is drawn and scaled in the active
+    dtype, and the node's backward is ``g * mask``.
     """
+    x = _lift(x)
     if rng is None or rate <= 0.0:
-        return _lift(x)
-    keep = (rng.random(x.shape) >= rate).astype(active_dtype()) / (1.0 - rate)
-    return mul(x, keep)
+        return x
+    dtype = active_dtype()
+    keep = (rng.random(x.shape, dtype=dtype) >= rate) * dtype(1.0 / (1.0 - rate))
+
+    def bw(g):
+        x._accum(g * keep)
+
+    return _make(x.data * keep, (x,), bw)
 
 
 def bce_with_logits(logits, targets) -> Tensor:

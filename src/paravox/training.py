@@ -396,12 +396,13 @@ def train(state: TrainState, cfg: TrainConfig, utterances, out_dir, log=None,
           stop_check=None) -> dict:
     """Run the loop from ``state`` (fresh from ``build_state``, or loaded by
     ``load_state`` to resume); writes metrics.csv, with its header when the
-    state is at step 0, and state/model checkpoints under out_dir."""
+    state is at step 0 or the file is new, and state/model checkpoints under
+    out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = RandomSource(cfg.seed)
     metrics_path = out_dir / "metrics.csv"
-    if state.step == 0:
+    if state.step == 0 or not metrics_path.exists():
         metrics_path.write_text(",".join(METRIC_COLUMNS) + "\n")
     last = {}
     with open(metrics_path, "a") as metrics:

@@ -87,7 +87,7 @@ class GlobalPosterior(Module):
         lengths = mask.sum(axis=1).astype(int)
         if mel.shape[1] == 0 or np.any(lengths == 0):
             raise ShapeError("global posterior requires at least one valid frame per utterance")
-        # every LConvBlock zeroes its masked rows on exit, so the strided convs
+        # every LConvBlock returns zero rows at padding, so the strided convs
         # and the pooling below read zero padding without masking again
         x = apply_mask(mel, mask)
         for block in self.pre:

@@ -292,6 +292,7 @@ def test_masking_invariance_suite():
     with pt.precision("high"):
         rng = np.random.default_rng(2)
         worst = 0.0
+        zero_padding = True
         builders = {
             "lconv": lambda r: blocks.LConvBlock(8, 2, 3, r),
             "transformer": lambda r: blocks.TransformerBlock(8, 2, r),
@@ -306,9 +307,21 @@ def test_masking_invariance_suite():
             out = blk(Tensor(padded), mask)
             worst = max(worst, float(np.abs(out.data[:, :6] - base.data).max()))
             worst = max(worst, float(np.abs(out.data[:, 6:]).max()))
-    ok = worst < 1e-5
-    report("masking-invariance", ok, f"max deviation {worst:.2e} across block types")
+            # a 3-row batch whose padded row sits in the middle: each row as if
+            # run alone, and exact zeros at the padding
+            mid = np.random.default_rng(3).normal(size=(3, 6, 8))
+            mid_mask = np.ones((3, 6))
+            mid_mask[1, 4:] = 0.0
+            out = blk(Tensor(mid), mid_mask).data
+            for i, n in enumerate((6, 4, 6)):
+                alone = blk(Tensor(mid[i:i + 1, :n]), np.ones((1, n))).data
+                worst = max(worst, float(np.abs(out[i, :n] - alone[0]).max()))
+            zero_padding = zero_padding and np.array_equal(out[1, 4:], np.zeros((2, 8)))
+    ok = worst < 1e-5 and zero_padding
+    report("masking-invariance", ok, f"max deviation {worst:.2e} across block types; "
+                                     f"padding rows exactly zero: {zero_padding}")
     assert worst < 1e-5
+    assert zero_padding
 
 
 def test_simplex_invariants():

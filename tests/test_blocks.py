@@ -103,15 +103,17 @@ def test_lconv_parameter_count_ratio():
     assert standard / light > 2000
 
 
-def test_lconv_masked_positions_do_not_contribute():
+def test_lconv_block_padding_does_not_contribute():
+    # the block hands its conv zero rows at padding, whatever the input holds there
     rng = np.random.default_rng(2)
-    conv = blocks.LightweightConv(4, 2, 3, rng)
+    blk = blocks.LConvBlock(4, 2, 3, rng)
     x = rng.normal(size=(1, 5, 4))
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-    out = conv(Tensor(x), mask)
+    out = blk(Tensor(x), mask)
     x[0, 3:] = rng.normal(size=(2, 4)) * 100.0
-    changed = conv(Tensor(x), mask)
+    changed = blk(Tensor(x), mask)
     assert np.array_equal(changed.data[0, :3], out.data[0, :3])
+    assert np.array_equal(changed.data[0, 3:], np.zeros((2, 4)))
 
 
 # -- LConv block -----------------------------------------------------------------
@@ -215,6 +217,37 @@ def test_conv1d_strided_length():
     for t, stride, expected in [(64, 2, 32), (9, 2, 5), (7, 1, 7), (5, 3, 2)]:
         x = Tensor(rng.normal(size=(1, t, 4)))
         assert blocks.conv1d(x, w, b, stride=stride).shape == (1, expected, 5)
+
+
+# -- packed rows -------------------------------------------------------------------------
+
+def op_counts(out: Tensor) -> dict:
+    """Op nodes of the graph behind ``out``, by the op that made them."""
+    counts = {}
+    for node in pt._topo_order(out):
+        if node._backward is not None:
+            op = node._backward.__qualname__.split(".")[0]
+            counts[op] = counts.get(op, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["lconv", "transformer"])
+def test_blocks_without_padding_add_no_pack_node_and_no_mask_multiply(kind):
+    # op nodes with mask None, with an all-ones mask (the transformer adds its
+    # key-mask add) and with padding (four move_rows)
+    expected = {"lconv": (14, 14, 18), "transformer": (29, 30, 34)}[kind]
+    if kind == "lconv":
+        blk = blocks.LConvBlock(8, 2, 3, np.random.default_rng(40))
+    else:
+        blk = blocks.TransformerBlock(8, 2, np.random.default_rng(40))
+    x = Tensor(np.random.default_rng(41).normal(size=(2, 5, 8)))
+    padded = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=float)
+    counts = [op_counts(blk(x, mask)) for mask in (None, np.ones((2, 5)), padded)]
+    assert tuple(sum(c.values()) for c in counts) == expected
+    scale_muls = 1 if kind == "transformer" else 0  # the attention's 1/sqrt(d) only
+    for c in counts[:2]:
+        assert "move_rows" not in c and c.get("mul", 0) == scale_muls
+    assert counts[2]["move_rows"] == 4 and counts[2].get("mul", 0) == scale_muls
 
 
 # -- cross-block invariants -------------------------------------------------------------

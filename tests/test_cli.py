@@ -9,7 +9,7 @@ import pytest
 from paravox.cli import EXIT_CHECK, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from paravox.corpus import CorpusHeader, read_corpus
 from paravox.fileformats import read_arrays, read_mel, write_arrays
-from paravox.training import TrainConfig, read_settings
+from paravox.training import METRIC_COLUMNS, TrainConfig, read_settings
 
 from conftest import TINY_TRAIN_KW
 
@@ -344,6 +344,34 @@ def test_synth_rejects_bad_dataset_file(tmp_path, novae_run, capsys, edit, named
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(dataset) in err and named in err
+    assert not out.exists()
+
+
+def test_resume_into_fresh_out_writes_metrics_header(tmp_path, novae_run):
+    corpus, run = novae_run  # stopped after step 2
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=4)
+    out = tmp_path / "again"
+    assert main(["train", "--config", str(cfg), "--corpus", str(corpus), "--variant", "novae",
+                 "--out", str(out), "--resume", str(run / "state.ckpt")]) == EXIT_OK
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert lines[0] == ",".join(METRIC_COLUMNS)
+    assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
+
+
+def test_train_on_corpus_with_wrong_duration_sum_exits_2(tmp_path, corpus_dir, capsys):
+    path = corpus_dir / "corpus.bin"
+    utts, _ = read_corpus(path)
+    first, second = utts[0], utts[1]
+    # header (33 bytes), utterance 0, then utterance 1's speaker, count and tokens
+    offset = 33 + 12 + 8 * len(first.tokens) + 8 * first.mel.size + 8 + 4 * len(second.tokens)
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 1  # flip the low bit of utterance 1's first duration
+    path.write_bytes(bytes(data))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus_dir), "--out", str(out), "--steps", "2"])
+    assert rc == EXIT_RUNTIME
+    assert "utterance 1 " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -630,3 +630,72 @@ def test_lstm_rejects_mismatched_weights():
     with pytest.raises(ShapeError):
         pt.lstm(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 12))),
                 Tensor(np.zeros(12)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 8), (5, 4)])
+def test_glu_matches_slice_sigmoid_product(shape):
+    rng = np.random.default_rng(len(shape))
+    data = rng.normal(size=shape) * 3.0
+    weights = Tensor(rng.normal(size=shape[:-1] + (shape[-1] // 2,)))
+    d = shape[-1] // 2
+    results = []
+    for op in (pt.glu, lambda x: x[..., :d] * pt.sigmoid(x[..., d:])):
+        x = Parameter(data.copy())
+        out = op(x)
+        backward((out * weights).sum())
+        results.append((out.data, x.grad))
+    (fused, fused_grad), (composite, composite_grad) = results
+    assert np.array_equal(fused, composite)
+    assert np.array_equal(fused_grad, composite_grad)
+    pt.reset_madds()
+    with pt.no_grad():
+        pt.glu(Tensor(data))
+    assert pt.madds() == 2 * fused.size
+
+
+def test_glu_rejects_odd_width():
+    with pytest.raises(ShapeError):
+        pt.glu(Tensor(np.zeros((2, 5))))
+
+
+def test_move_rows_packs_and_unpacks_like_numpy_indexing():
+    rng = np.random.default_rng(4)
+    padded = rng.normal(size=(2, 3, 4))
+    ids = np.array([0, 2, 3, 5])  # rows 1 and 4 are padding
+    x = Parameter(padded.copy())
+    packed = pt.move_rows(x, ids)
+    assert np.array_equal(packed.data, padded.reshape(6, 4)[ids])
+    w = rng.normal(size=(4, 4))
+    backward((packed * Tensor(w)).sum())
+    want = np.zeros((6, 4))
+    want[ids] = w
+    assert np.array_equal(x.grad, want.reshape(2, 3, 4))
+
+    rows = Parameter(rng.normal(size=(4, 4)))
+    unpacked = pt.move_rows(rows, ids, (2, 3))
+    assert unpacked.shape == (2, 3, 4)
+    flat = unpacked.data.reshape(6, 4)
+    assert np.array_equal(flat[ids], rows.data)
+    assert np.array_equal(flat[[1, 4]], np.zeros((2, 4)))
+    assert not np.signbit(flat[[1, 4]]).any()  # +0.0, not -0.0
+    w = rng.normal(size=(2, 3, 4))
+    backward((unpacked * Tensor(w)).sum())
+    assert np.array_equal(rows.grad, w.reshape(6, 4)[ids])
+    pt.reset_madds()
+    pt.move_rows(rows, ids, (2, 3))
+    assert pt.madds() == 0
+
+
+@pytest.mark.parametrize("mode", ["standard", "high"])
+def test_dropout_is_one_node_drawing_in_the_active_dtype(mode):
+    with pt.precision(mode):
+        x = Parameter(np.random.default_rng(6).normal(size=(3, 5, 4)))
+        y = pt.dropout(x, 0.25, np.random.default_rng(9))
+        dtype = pt.active_dtype()
+        keep = (np.random.default_rng(9).random((3, 5, 4), dtype=dtype) >= 0.25) \
+            * dtype(1.0 / 0.75)
+        assert y._parents == (x,) and y.data.dtype == dtype
+        assert np.array_equal(y.data, x.data * keep)
+        g = np.random.default_rng(7).normal(size=(3, 5, 4))
+        backward((y * Tensor(g)).sum())
+        assert np.array_equal(x.grad, g.astype(dtype) * keep)
