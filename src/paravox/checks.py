@@ -17,7 +17,7 @@ from .encoder import EncoderOutput, TextEncoder
 from .gradcheck import GradCheckReport, grad_check
 from .model import Batch, ModelConfig, SynthesisModel
 from .tensor import Tensor
-from .training import LossTerms, total_loss
+from .training import total_loss
 
 
 def _weighted(out: Tensor, seed: int) -> Tensor:
@@ -146,12 +146,11 @@ def check_duration() -> GradCheckReport:
         .finalize_names("duration_predictor.")
     x = Tensor(np.random.default_rng(15).normal(size=(2, 5, 16)))
     mask = np.ones((2, 5))
-    target = duration.DurationTarget.from_frames(
-        np.random.default_rng(16).integers(0, 4, size=(2, 5)), 80.0)
+    frames = np.random.default_rng(16).integers(0, 4, size=(2, 5))
 
     def f():
         out = pred(x, mask)
-        ce, l1 = duration.duration_loss(out, target, mask)
+        ce, l1 = duration.duration_loss(out, frames, 80.0, mask)
         return ce + l1 + _weighted(out.hidden, 17)
 
     return grad_check(f, pred.parameters(), max_entries=24)
@@ -181,8 +180,8 @@ def check_decoder() -> GradCheckReport:
     target = Tensor(np.random.default_rng(25).random((2, 6, 8)))
 
     def f():
-        a = decoder.iterative_spec_loss(lc(x, mask), target, mask)
-        b = decoder.iterative_spec_loss(tf(x, mask), target, mask)
+        a = decoder.spectrogram_loss(lc(x, mask), target, mask)
+        b = decoder.spectrogram_loss(tf(x, mask), target, mask)
         return a + b
 
     return grad_check(f, lc.parameters() + tf.parameters(), max_entries=16)
@@ -223,8 +222,7 @@ def _check_assembled(variant: str, seed: int, batch_seed: int = 26) -> GradCheck
         # reseeding per call fixes the reparameterization noise, keeping f deterministic
         out = model.forward_train(batch, sample_rng=np.random.default_rng(99),
                                   prior_teacher=teacher0)
-        terms = LossTerms.from_outputs(out, lambda_dur=1.0, beta=beta)
-        return total_loss(variant, terms)
+        return total_loss(out, 1.0, beta)
 
     return grad_check(f, model.parameters(), max_entries=4)
 

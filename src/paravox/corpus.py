@@ -254,6 +254,12 @@ def read_corpus(path) -> tuple[list[Utterance], CorpusHeader]:
         tokens = r.u32_array(n)
         durations = r.u32_array(n)
         frames = r.u32()
+        if speaker >= header.num_speakers:
+            raise FormatError(f"{r.label}: utterance {i} has speaker {speaker} but the header "
+                              f"declares {header.num_speakers} speakers")
+        if n and tokens.max() >= header.vocab_size:
+            raise FormatError(f"{r.label}: utterance {i} has token {tokens.max()} outside the "
+                              f"vocabulary of {header.vocab_size}")
         if durations.sum() != frames:
             raise FormatError(f"{r.label}: utterance {i} has durations summing to "
                               f"{durations.sum()} frames but {frames} mel frames")

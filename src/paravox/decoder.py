@@ -3,7 +3,7 @@
 A stack of self-attention blocks (lightweight-conv or Transformer flavour);
 after every block an independent linear head projects the activation to mel
 bins.  The iterative loss sums the per-block L1 terms; the single loss keeps
-only the last head.
+only the last head.  ``spectrogram_loss`` computes both.
 """
 
 from __future__ import annotations
@@ -41,25 +41,15 @@ class SpectrogramDecoder(Module):
         return preds
 
 
-def _masked_l1(pred: Tensor, target, frame_mask) -> Tensor:
-    if pred.shape != target.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
-    return (pt.abs_(pred - target) * np.asarray(frame_mask)[:, :, None]).sum()
-
-
-def _normalizer(target, frame_mask) -> float:
-    return target.shape[-1] * float(np.asarray(frame_mask).sum())
-
-
-def iterative_spec_loss(preds: list[Tensor], target, frame_mask) -> Tensor:
-    """Sum of per-block L1 terms over valid frames, normalized by bins x frames."""
+def spectrogram_loss(preds: list[Tensor], target, frame_mask) -> Tensor:
+    """Sum of the L1 terms of the heads in ``preds`` over valid frames, normalized
+    by bins x valid frames: every head gives the iterative loss, ``preds[-1:]``
+    the single loss."""
+    mask = np.asarray(frame_mask)
     total = None
     for pred in preds:
-        term = _masked_l1(pred, target, frame_mask)
+        if pred.shape != target.shape:
+            raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
+        term = (pt.abs_(pred - target) * mask[:, :, None]).sum()
         total = term if total is None else total + term
-    return total * (1.0 / _normalizer(target, frame_mask))
-
-
-def single_spec_loss(preds: list[Tensor], target, frame_mask) -> Tensor:
-    """L1 of the final block's projection only, same normalization."""
-    return _masked_l1(preds[-1], target, frame_mask) * (1.0 / _normalizer(target, frame_mask))
+    return total * (1.0 / (target.shape[-1] * float(mask.sum())))

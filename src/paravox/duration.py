@@ -29,20 +29,6 @@ class DurationPrediction:
     hidden: Tensor   # [B, N, d] last block activation, consumed by the upsampler
 
 
-@dataclass
-class DurationTarget:
-    frames: np.ndarray   # [B, N] non-negative ints
-    seconds: np.ndarray  # frames / frame_rate
-    nonzero: np.ndarray  # frames > 0
-
-    @classmethod
-    def from_frames(cls, frames: np.ndarray, frame_rate: float) -> "DurationTarget":
-        frames = np.asarray(frames, dtype=int)
-        if np.any(frames < 0):
-            raise ShapeError("duration targets must be non-negative frame counts")
-        return cls(frames=frames, seconds=frames / float(frame_rate), nonzero=frames > 0)
-
-
 class DurationPredictor(Module):
     def __init__(self, d_in: int, heads: int, rng: np.random.Generator,
                  blocks: int = 4, kernel_size: int = 3, dropout: float = 0.1):
@@ -82,12 +68,17 @@ def finalize_durations(p_z: np.ndarray, seconds: np.ndarray, frame_rate: float) 
     return frames
 
 
-def duration_loss(pred: DurationPrediction, target: DurationTarget, token_mask=None):
-    """(cross-entropy, L1) sums over valid tokens; combine as ce + l1 before 1/N."""
-    if pred.seconds.shape != target.frames.shape:
-        raise ShapeError(f"prediction {pred.seconds.shape} vs target {target.frames.shape}")
-    mask = np.ones(target.frames.shape, dtype=float) if token_mask is None \
+def duration_loss(pred: DurationPrediction, frames, frame_rate: float, token_mask=None):
+    """(cross-entropy, L1) sums over valid tokens against ground-truth frame
+    counts: the gate's target is frames > 0, the seconds head's is frames /
+    frame_rate.  Combine as ce + l1 before 1/N."""
+    frames = np.asarray(frames, dtype=int)
+    if np.any(frames < 0):
+        raise ShapeError("duration targets must be non-negative frame counts")
+    if pred.seconds.shape != frames.shape:
+        raise ShapeError(f"prediction {pred.seconds.shape} vs target {frames.shape}")
+    mask = np.ones(frames.shape, dtype=float) if token_mask is None \
         else np.asarray(token_mask, dtype=float)
-    ce = (pt.bce_with_logits(pred.logits, target.nonzero.astype(float)) * mask).sum()
-    l1 = (pt.abs_(pred.seconds - target.seconds) * mask).sum()
+    ce = (pt.bce_with_logits(pred.logits, (frames > 0).astype(float)) * mask).sum()
+    l1 = (pt.abs_(pred.seconds - frames / float(frame_rate)) * mask).sum()
     return ce, l1

@@ -47,7 +47,9 @@ class TextEncoder(Module):
                 f"phoneme id {ids[b, n]} at batch {b}, token {n} outside vocabulary of size {self.vocab_size}")
         if token_mask is None:
             token_mask = np.ones(ids.shape, dtype=float)
-        x = apply_mask(pt.gather_rows(self.embedding, ids), token_mask)
+        # each conv block masks its input, and the mask after the positions
+        # does it when there is none
+        x = pt.gather_rows(self.embedding, ids)
         for conv in self.convs:
             x = conv(x, token_mask, rng)
         positions = np.broadcast_to(np.arange(ids.shape[1], dtype=float), ids.shape)

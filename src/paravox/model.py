@@ -21,9 +21,8 @@ import numpy as np
 
 from . import tensor as pt
 from .decoder import KINDS as DECODER_KINDS
-from .decoder import SpectrogramDecoder, iterative_spec_loss, single_spec_loss
-from .duration import (DurationPrediction, DurationPredictor, DurationTarget, duration_loss,
-                       finalize_durations)
+from .decoder import SpectrogramDecoder, spectrogram_loss
+from .duration import DurationPrediction, DurationPredictor, duration_loss, finalize_durations
 from .encoder import EncoderOutput, SpeakerTable, TextEncoder, attach_conditioning
 from .errors import ShapeError, VocabularyError
 from .module import Module, RandomSource
@@ -251,11 +250,9 @@ class SynthesisModel(Module):
                                                              sample_rng, prior_teacher)
         cond = attach_conditioning(enc, spk, latent)
         dur_pred = self.duration_predictor(cond, batch.token_mask, dropout_rng)
-        ce, l1 = duration_loss(dur_pred, DurationTarget.from_frames(batch.frames, cfg.frame_rate),
-                               batch.token_mask)
+        ce, l1 = duration_loss(dur_pred, batch.frames, cfg.frame_rate, batch.token_mask)
         preds = self.decode(dur_pred.hidden, layout, dropout_rng)
-        spec_loss = (iterative_spec_loss if iterative else single_spec_loss)(
-            preds, batch.mel, layout.mask)
+        spec_loss = spectrogram_loss(preds if iterative else preds[-1:], batch.mel, layout.mask)
         return ForwardOutputs(
             spec_loss=spec_loss, predictions=preds, dur_ce=ce, dur_l1=l1,
             kl_per_utterance=kl, prior_loss=prior_loss, duration_pred=dur_pred, layout=layout,

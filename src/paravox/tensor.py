@@ -231,11 +231,16 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+def _not_broadcastable(op: str, a: Tensor, b: Tensor) -> ShapeError:
+    return ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} are not broadcast-compatible")
+
+
+def _binary(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """``ufunc(a, b)`` on the data; numpy's own broadcast check raises the ShapeError."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} are not broadcast-compatible")
+        raise _not_broadcastable(op, a, b) from None
 
 
 def _make(out_data, parents, backward, madds=None) -> Tensor:
@@ -252,8 +257,7 @@ def _make(out_data, parents, backward, madds=None) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _check_broadcast(a, b, "add")
-    out_data = a.data + b.data
+    out_data = _binary("add", np.add, a, b)
 
     def bw(g):
         if not a.const:
@@ -266,8 +270,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _check_broadcast(a, b, "sub")
-    out_data = a.data - b.data
+    out_data = _binary("sub", np.subtract, a, b)
 
     def bw(g):
         if not a.const:
@@ -280,8 +283,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _check_broadcast(a, b, "mul")
-    out_data = a.data * b.data
+    out_data = _binary("mul", np.multiply, a, b)
 
     def bw(g):
         if not a.const:
@@ -294,8 +296,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _check_broadcast(a, b, "div")
-    out_data = a.data / b.data
+    out_data = _binary("div", np.divide, a, b)
 
     def bw(g):
         if not a.const:
@@ -400,10 +401,6 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul batch dimensions not broadcastable: {a.shape} vs {b.shape}")
     if b.ndim == 2:
         # a shared [k, n] weight: forward and both gradients are 2-D GEMMs over a's rows
         rows = a.data.reshape(-1, a.shape[-1])
@@ -416,7 +413,11 @@ def matmul(a, b) -> Tensor:
             if not b.const:
                 b._accum(rows.T @ g_rows)
     else:
-        out_data = a.data @ b.data
+        try:
+            out_data = a.data @ b.data
+        except ValueError:
+            raise ShapeError(
+                f"matmul batch dimensions not broadcastable: {a.shape} vs {b.shape}") from None
 
         def bw(g):
             if not a.const:
@@ -826,11 +827,13 @@ def bce_with_logits(logits, targets) -> Tensor:
     ops evaluates it, so values and gradients match that composite bit for bit.
     """
     logits, targets = _lift(logits), _lift(targets)
-    _check_broadcast(logits, targets, "bce_with_logits")
     x, t = logits.data, targets.data
     neg_x, one_minus_t = -x, 1.0 - t
     sp_neg, sp_pos = _softplus(neg_x), _softplus(x)
-    out_data = t * sp_neg + one_minus_t * sp_pos
+    try:
+        out_data = t * sp_neg + one_minus_t * sp_pos
+    except ValueError:
+        raise _not_broadcastable("bce_with_logits", logits, targets) from None
 
     def bw(g):
         if not logits.const:

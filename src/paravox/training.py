@@ -8,7 +8,7 @@ The minimized objective is
 with T the total valid frames in the batch, K the mel bins, and N the total
 valid tokens.  The spectrogram term sums the L1 of every decoder block's
 prediction (the iterative loss) or keeps only the last block's; the model
-computes it with ``decoder.iterative_spec_loss`` or ``single_spec_loss``.
+computes it with ``decoder.spectrogram_loss`` over all heads or the last.
 The KL weight beta is constant for the utterance-level VAE and linearly
 annealed for the per-phoneme one.  Gradients are clipped by global norm
 before the momentum update.
@@ -19,7 +19,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -33,40 +32,16 @@ from .tensor import Parameter, Tensor, backward, constant, no_grad
 from .upsample import frame_layout
 
 
-@dataclass
-class LossTerms:
-    spec: Tensor                      # spectrogram L1, normalized by K*T
-    dur_ce: Tensor
-    dur_l1: Tensor
-    kl: Optional[Tensor]              # [B] per-utterance KL, or None
-    prior: Optional[Tensor]           # scalar sum, or None
-    lambda_dur: float
-    beta: float
-    n_tokens: float                   # N: total valid tokens
-
-    @classmethod
-    def from_outputs(cls, out: ForwardOutputs, lambda_dur: float, beta: float) -> "LossTerms":
-        return cls(out.spec_loss, out.dur_ce, out.dur_l1, out.kl_per_utterance,
-                   out.prior_loss, lambda_dur, beta, out.n_tokens)
-
-
-def total_loss(variant: str, terms: LossTerms) -> Tensor:
-    """Assemble the scalar objective for one variant; mismatched terms are rejected."""
-    if variant == "fine" and terms.prior is None:
-        raise ValueError("fine variant requires a learned-prior loss term")
-    if variant != "fine" and terms.prior is not None:
-        raise ValueError(f"variant {variant!r} must not carry a prior loss term")
-    if variant == "novae" and terms.kl is not None:
-        raise ValueError("novae variant must not carry a KL term")
-    if variant in ("global", "fine") and terms.kl is None:
-        raise ValueError(f"variant {variant!r} requires a KL term")
-
-    out = terms.spec + (terms.dur_ce + terms.dur_l1) * (terms.lambda_dur / terms.n_tokens)
-    if terms.kl is not None:
-        out = out + terms.kl.mean() * terms.beta
-    if terms.prior is not None:
-        out = out + terms.prior * (1.0 / terms.n_tokens)
-    return out
+def total_loss(out: ForwardOutputs, lambda_dur: float, beta: float) -> Tensor:
+    """The scalar objective from one forward pass.  The KL and prior terms enter
+    where the variant has them: ``forward_train`` leaves them None otherwise."""
+    n = out.n_tokens
+    loss = out.spec_loss + (out.dur_ce + out.dur_l1) * (lambda_dur / n)
+    if out.kl_per_utterance is not None:
+        loss = loss + out.kl_per_utterance.mean() * beta
+    if out.prior_loss is not None:
+        loss = loss + out.prior_loss * (1.0 / n)
+    return loss
 
 
 # -- schedules ------------------------------------------------------------------
@@ -129,10 +104,6 @@ class NesterovMomentum:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {f"velocity/{n}": v for n, v in self.velocity.items()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite every velocity, as ``module.load_checked`` does."""
-        load_checked(self.state_arrays(), arrays)
 
 
 # -- run configuration --------------------------------------------------------------
@@ -370,7 +341,7 @@ def train_step(state: TrainState, batch: Batch, cfg: TrainConfig,
     out = state.model.forward_train(batch, dropout_rng=rng,
                                     sample_rng=rng if cfg.sample_posterior else None,
                                     iterative=cfg.iterative_loss)
-    loss = total_loss(cfg.variant, LossTerms.from_outputs(out, cfg.lambda_dur, beta))
+    loss = total_loss(out, cfg.lambda_dur, beta)
     if not np.isfinite(loss.data):
         raise TrainingDiverged(f"non-finite loss {loss.data!r} at step {step}")
     state.model.zero_grad()

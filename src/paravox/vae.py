@@ -135,7 +135,9 @@ class FinePosterior(Module):
         frame_mask = pos_feats.frame_mask
         spk = repeat_over_positions(speaker_emb, t)
         x = pt.concat([mel, pos_feats.within, pos_feats.duration, pos_feats.fraction, spk], axis=2)
-        x = self.in_proj(apply_mask(x, frame_mask))
+        # padded rows need no mask: the first block packs the valid rows, and
+        # the attention weighs padded keys 0
+        x = self.in_proj(x)
         for block in self.blocks:
             x = block(x, frame_mask, rng)
         q = self.q_proj(self.query_norm(enc.phonemes))

@@ -237,8 +237,8 @@ def test_iterative_loss_decomposition_identity():
             mask = (rng.random((2, 7)) > 0.25).astype(float)
             mask[:, 0] = 1.0
             preds = [Tensor(rng.normal(size=(2, 7, 9))) for _ in range(6)]
-            it = float(decoder.iterative_spec_loss(preds, target, mask).data)
-            parts = sum(float(decoder.single_spec_loss(preds[:i + 1], target, mask).data)
+            it = float(decoder.spectrogram_loss(preds, target, mask).data)
+            parts = sum(float(decoder.spectrogram_loss(preds[i:i + 1], target, mask).data)
                         for i in range(6))
             worst = max(worst, abs(it - parts))
     ok = worst < 1e-10

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -372,6 +373,23 @@ def test_train_on_corpus_with_wrong_duration_sum_exits_2(tmp_path, corpus_dir, c
     rc = main(["train", "--corpus", str(corpus_dir), "--out", str(out), "--steps", "2"])
     assert rc == EXIT_RUNTIME
     assert "utterance 1 " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("offset, value, named", [(0, 5, "speaker 5"), (8, 200, "token 200")])
+def test_train_on_corpus_with_out_of_range_id_exits_2(tmp_path, corpus_dir, capsys, offset,
+                                                      value, named):
+    path = corpus_dir / "corpus.bin"
+    data = bytearray(path.read_bytes())
+    # utterance 0 starts after the 33-byte header: speaker, token count, then tokens
+    struct.pack_into("<I", data, 33 + offset, value)
+    path.write_bytes(bytes(data))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus_dir), "--out", str(out), "--steps", "2"])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "utterance 0 " in err and named in err
     assert not out.exists()
 
 

@@ -34,17 +34,15 @@ def test_masked_tokens_do_not_change_loss():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 4, 8))
     frames = np.array([[3, 0, 2, 4]])
-    target = duration.DurationTarget.from_frames(frames, 80.0)
     mask = np.ones((1, 4))
     out = pred(Tensor(x), mask)
-    ce, l1 = duration.duration_loss(out, target, mask)
+    ce, l1 = duration.duration_loss(out, frames, 80.0, mask)
 
     padded = np.concatenate([x, rng.normal(size=(1, 3, 8))], axis=1)
     pmask = np.concatenate([mask, np.zeros((1, 3))], axis=1)
-    ptarget = duration.DurationTarget.from_frames(
-        np.concatenate([frames, rng.integers(1, 5, size=(1, 3))], axis=1), 80.0)
+    pframes = np.concatenate([frames, rng.integers(1, 5, size=(1, 3))], axis=1)
     pout = pred(Tensor(padded), pmask)
-    pce, pl1 = duration.duration_loss(pout, ptarget, pmask)
+    pce, pl1 = duration.duration_loss(pout, pframes, 80.0, pmask)
     assert pce.data == pytest.approx(ce.data, rel=1e-9)
     assert pl1.data == pytest.approx(l1.data, rel=1e-9)
 
@@ -52,12 +50,11 @@ def test_masked_tokens_do_not_change_loss():
 def test_predictor_gradcheck():
     pred = make_predictor(blocks=1)
     x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 8)))
-    target = duration.DurationTarget.from_frames(
-        np.random.default_rng(5).integers(0, 6, size=(2, 5)), 80.0)
+    frames = np.random.default_rng(5).integers(0, 6, size=(2, 5))
 
     def loss():
         out = pred(x)
-        ce, l1 = duration.duration_loss(out, target)
+        ce, l1 = duration.duration_loss(out, frames, 80.0)
         return ce + l1
 
     report = grad_check(loss, pred.parameters(), max_entries=30)
@@ -129,9 +126,8 @@ def test_duration_loss_matches_scalar_oracle():
     x = Tensor(rng.normal(size=(2, 6, 8)))
     mask = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]], dtype=float)
     frames = rng.integers(0, 5, size=(2, 6))
-    target = duration.DurationTarget.from_frames(frames, 80.0)
     out = pred(x, mask)
-    ce, l1 = duration.duration_loss(out, target, mask)
+    ce, l1 = duration.duration_loss(out, frames, 80.0, mask)
     oce, ol1 = scalar_loop_duration_loss(out.p_z.data, out.seconds.data, frames, 80.0, mask)
     assert ce.data == pytest.approx(oce, rel=1e-10)
     assert l1.data == pytest.approx(ol1, rel=1e-10)
@@ -139,37 +135,34 @@ def test_duration_loss_matches_scalar_oracle():
 
 def test_perfect_prediction_l1_zero_and_ce_floor():
     frames = np.array([[2, 0, 3]])
-    target = duration.DurationTarget.from_frames(frames, 80.0)
     logits = Tensor(np.array([[30.0, -30.0, 30.0]]))
     pred = duration.DurationPrediction(
-        pt.sigmoid(logits), logits, Tensor(target.seconds), hidden=Tensor(np.zeros((1, 3, 2))))
-    ce, l1 = duration.duration_loss(pred, target)
+        pt.sigmoid(logits), logits, Tensor(frames / 80.0), hidden=Tensor(np.zeros((1, 3, 2))))
+    ce, l1 = duration.duration_loss(pred, frames, 80.0)
     assert l1.data == pytest.approx(0.0)
     assert ce.data < 1e-8
 
 
 def test_half_probability_ce_is_ln2_per_token():
     frames = np.array([[1, 0, 4, 2]])
-    target = duration.DurationTarget.from_frames(frames, 80.0)
     logits = Tensor(np.zeros((1, 4)))
     pred = duration.DurationPrediction(
-        pt.sigmoid(logits), logits, Tensor(target.seconds), hidden=Tensor(np.zeros((1, 4, 2))))
-    ce, _ = duration.duration_loss(pred, target)
+        pt.sigmoid(logits), logits, Tensor(frames / 80.0), hidden=Tensor(np.zeros((1, 4, 2))))
+    ce, _ = duration.duration_loss(pred, frames, 80.0)
     assert ce.data == pytest.approx(4 * math.log(2.0))
 
 
 def test_l1_translation_detection():
     # when every prediction already exceeds its target, +delta adds N_valid * delta
     frames = np.array([[2, 1, 3]])
-    target = duration.DurationTarget.from_frames(frames, 80.0)
-    base = target.seconds + 0.5
+    base = frames / 80.0 + 0.5
     logits = Tensor(np.zeros((1, 3)))
     delta = 0.125
 
     def l1_of(seconds):
         pred = duration.DurationPrediction(
             pt.sigmoid(logits), logits, Tensor(seconds), hidden=Tensor(np.zeros((1, 3, 2))))
-        _, l1 = duration.duration_loss(pred, target)
+        _, l1 = duration.duration_loss(pred, frames, 80.0)
         return float(l1.data)
 
     assert l1_of(base + delta) - l1_of(base) == pytest.approx(3 * delta)
@@ -177,14 +170,16 @@ def test_l1_translation_detection():
 
 def test_shape_mismatch_rejected():
     frames = np.array([[1, 2]])
-    target = duration.DurationTarget.from_frames(frames, 80.0)
     logits = Tensor(np.zeros((1, 3)))
     pred = duration.DurationPrediction(
         pt.sigmoid(logits), logits, Tensor(np.zeros((1, 3))), hidden=Tensor(np.zeros((1, 3, 2))))
-    with pytest.raises(ShapeError):
-        duration.duration_loss(pred, target)
+    with pytest.raises(ShapeError, match="prediction"):
+        duration.duration_loss(pred, frames, 80.0)
 
 
 def test_negative_target_frames_rejected():
-    with pytest.raises(ShapeError):
-        duration.DurationTarget.from_frames(np.array([[1, -2]]), 80.0)
+    logits = Tensor(np.zeros((1, 2)))
+    pred = duration.DurationPrediction(
+        pt.sigmoid(logits), logits, Tensor(np.zeros((1, 2))), hidden=Tensor(np.zeros((1, 2, 2))))
+    with pytest.raises(ShapeError, match="non-negative"):
+        duration.duration_loss(pred, np.array([[1, -2]]), 80.0)

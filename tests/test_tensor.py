@@ -64,6 +64,19 @@ def test_incompatible_shapes_report_both():
     assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
 
 
+@pytest.mark.parametrize("op", [pt.sub, pt.mul, pt.div, pt.bce_with_logits])
+def test_binary_ops_reject_incompatible_shapes(op):
+    with pytest.raises(ShapeError) as exc:
+        op(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
+    assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
+
+
+def test_matmul_batch_mismatch_rejected():
+    with pytest.raises(ShapeError) as exc:
+        pt.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    assert "(2, 3, 4)" in str(exc.value) and "(3, 4, 5)" in str(exc.value)
+
+
 def test_matmul_identity():
     v = np.array([1.5, -2.0, 0.25])
     out = pt.matmul(Tensor(np.eye(3)), Tensor(v.reshape(3, 1)))

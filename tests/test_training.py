@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,11 +8,12 @@ import paravox.tensor as pt
 from paravox import duration, training
 from paravox.errors import ConfigError, DegenerateSynthesisError, TrainingDiverged
 from paravox.fileformats import read_mel
-from paravox.model import ModelConfig, ModelHyperparams, SynthesisModel, make_batch
+from paravox.model import (ForwardOutputs, ModelConfig, ModelHyperparams, SynthesisModel,
+                           make_batch)
 from paravox.tensor import Parameter, Tensor, backward
-from paravox.training import (LossTerms, NesterovMomentum, TrainConfig, TrainState,
-                              beta_schedule, clip_global_norm, lr_multiplier,
-                              total_loss, train_step)
+from paravox.training import (NesterovMomentum, TrainConfig, TrainState,
+                              beta_schedule, build_state, clip_global_norm, load_state,
+                              lr_multiplier, total_loss, train, train_step)
 
 from conftest import tiny_model_config_kwargs, tiny_train_config
 
@@ -108,65 +109,59 @@ def test_nesterov_matches_hand_stepped_reference():
 
 # -- total_loss assembly ---------------------------------------------------------------
 
-def make_terms(variant, n=5.0, seed=0):
+LAMBDA_DUR, BETA = 1.5, 0.7
+
+
+def make_outputs(variant, n=5.0, seed=0):
+    """Forward outputs carrying only the loss terms, in the variant's shape."""
     rng = np.random.default_rng(seed)
     spec = Tensor(abs(rng.normal()) * 3)
     kl = Tensor(np.abs(rng.normal(size=2))) if variant != "novae" else None
     prior = Tensor(abs(rng.normal())) if variant == "fine" else None
-    return LossTerms(spec, Tensor(abs(rng.normal())), Tensor(abs(rng.normal())),
-                     kl, prior, lambda_dur=1.5, beta=0.7, n_tokens=n)
+    return ForwardOutputs(spec_loss=spec, predictions=[], dur_ce=Tensor(abs(rng.normal())),
+                          dur_l1=Tensor(abs(rng.normal())), kl_per_utterance=kl,
+                          prior_loss=prior, duration_pred=None, layout=None, n_tokens=n)
 
 
-def scalar_total(variant, terms):
-    out = float(terms.spec.data)
-    out += terms.lambda_dur * (float(terms.dur_ce.data) + float(terms.dur_l1.data)) / terms.n_tokens
+def scalar_total(variant, out):
+    total = float(out.spec_loss.data)
+    total += LAMBDA_DUR * (float(out.dur_ce.data) + float(out.dur_l1.data)) / out.n_tokens
     if variant != "novae":
-        out += terms.beta * float(terms.kl.data.mean())
+        total += BETA * float(out.kl_per_utterance.data.mean())
     if variant == "fine":
-        out += float(terms.prior.data) / terms.n_tokens
-    return out
+        total += float(out.prior_loss.data) / out.n_tokens
+    return total
 
 
 @pytest.mark.parametrize("variant", ["novae", "global", "fine"])
 def test_total_loss_matches_scalar_oracle(variant):
     with pt.precision("high"):
-        terms = make_terms(variant)
-        got = float(total_loss(variant, terms).data)
-        assert got == pytest.approx(scalar_total(variant, terms), rel=1e-12)
+        out = make_outputs(variant)
+        got = float(total_loss(out, LAMBDA_DUR, BETA).data)
+        assert got == pytest.approx(scalar_total(variant, out), rel=1e-12)
 
 
 def test_total_loss_zero_terms_give_zero():
-    terms = LossTerms(Tensor(0.0), Tensor(0.0), Tensor(0.0), Tensor(np.zeros(2)),
-                      None, 1.0, 1.0, 5.0)
-    assert float(total_loss("global", terms).data) == 0.0
+    out = ForwardOutputs(spec_loss=Tensor(0.0), predictions=[], dur_ce=Tensor(0.0),
+                         dur_l1=Tensor(0.0), kl_per_utterance=Tensor(np.zeros(2)),
+                         prior_loss=None, duration_pred=None, layout=None, n_tokens=5.0)
+    assert float(total_loss(out, 1.0, 1.0).data) == 0.0
 
 
 def test_total_loss_linear_in_spec_terms():
     with pt.precision("high"):
-        terms = make_terms("novae")
-        base = float(total_loss("novae", terms).data)
-        doubled = LossTerms(terms.spec * 2.0, terms.dur_ce, terms.dur_l1,
-                            None, None, terms.lambda_dur, terms.beta, terms.n_tokens)
-        got = float(total_loss("novae", doubled).data)
-        assert got == pytest.approx(base + float(terms.spec.data), rel=1e-12)
-
-
-def test_total_loss_variant_mismatch_rejected():
-    with pytest.raises(ValueError):
-        total_loss("fine", make_terms("global"))
-    with pytest.raises(ValueError):
-        total_loss("novae", make_terms("global"))
-    with pytest.raises(ValueError):
-        total_loss("global", make_terms("novae"))
+        out = make_outputs("novae")
+        base = float(total_loss(out, LAMBDA_DUR, BETA).data)
+        doubled = replace(out, spec_loss=out.spec_loss * 2.0)
+        got = float(total_loss(doubled, LAMBDA_DUR, BETA).data)
+        assert got == pytest.approx(base + float(out.spec_loss.data), rel=1e-12)
 
 
 def test_beta_zero_global_equals_novae_objective():
-    terms_g = make_terms("global")
-    terms_g.beta = 0.0
-    terms_n = LossTerms(terms_g.spec, terms_g.dur_ce, terms_g.dur_l1, None, None,
-                        terms_g.lambda_dur, 0.0, terms_g.n_tokens)
-    assert float(total_loss("global", terms_g).data) == pytest.approx(
-        float(total_loss("novae", terms_n).data), abs=1e-15)
+    out_g = make_outputs("global")
+    out_n = replace(out_g, kl_per_utterance=None)
+    assert float(total_loss(out_g, LAMBDA_DUR, 0.0).data) == pytest.approx(
+        float(total_loss(out_n, LAMBDA_DUR, 0.0).data), abs=1e-15)
 
 
 # -- config ---------------------------------------------------------------------------
@@ -249,7 +244,7 @@ def test_padding_leaves_total_loss_unchanged(tiny_spec, tiny_corpus):
     model = build_tiny_model(tiny_spec, "global")
     batch = make_batch(tiny_corpus[:3])
     out = model.forward_train(batch)
-    loss = float(total_loss("global", LossTerms.from_outputs(out, 1.0, 1.0)).data)
+    loss = float(total_loss(out, 1.0, 1.0).data)
 
     padded = make_batch(tiny_corpus[:3])
     b, n = padded.tokens.shape
@@ -260,8 +255,38 @@ def test_padding_leaves_total_loss_unchanged(tiny_spec, tiny_corpus):
     padded.mel = np.concatenate([padded.mel, np.full((b, 3, padded.mel.shape[2]), 0.7,
                                                      dtype=padded.mel.dtype)], axis=1)
     out2 = model.forward_train(padded)
-    loss2 = float(total_loss("global", LossTerms.from_outputs(out2, 1.0, 1.0)).data)
+    loss2 = float(total_loss(out2, 1.0, 1.0).data)
     assert loss2 == pytest.approx(loss, rel=1e-5)
+
+
+def test_checkpoint_every_resumes_the_uninterrupted_trajectory(tiny_spec, tiny_corpus, tmp_path):
+    k = 4
+    cfg = tiny_train_config(variant="fine", total_steps=2 * k, checkpoint_every=k)
+
+    def fresh():
+        return build_state(cfg, tiny_spec.vocab_size, tiny_spec.num_speakers,
+                           tiny_spec.mel_bins, tiny_spec.frame_rate)
+
+    train(fresh(), cfg, tiny_corpus, tmp_path / "full")
+
+    class Interrupted(Exception):
+        pass
+
+    def crash_after_next_step(state, row):
+        if state.step == k + 1:
+            raise Interrupted
+        return False
+
+    with pytest.raises(Interrupted):
+        train(fresh(), cfg, tiny_corpus, tmp_path / "cut", stop_check=crash_after_next_step)
+    resumed = fresh()
+    load_state(resumed, tmp_path / "cut" / "state.ckpt")
+    assert resumed.step == k
+    train(resumed, cfg, tiny_corpus, tmp_path / "resumed")
+    full = (tmp_path / "full" / "metrics.csv").read_text().splitlines()
+    rows = (tmp_path / "resumed" / "metrics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == [str(i) for i in range(k + 1, 2 * k + 1)]
+    assert rows == full[:1] + full[k + 1:]
 
 
 def test_train_step_decreases_loss_on_tiny_problem(tiny_spec, tiny_corpus):
