@@ -94,8 +94,8 @@ def sinusoidal_embedding(positions, dim: int) -> Tensor:
 
 class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-6):
-        self.gain = Parameter(np.ones(dim), "gain")
-        self.bias = Parameter(np.zeros(dim), "bias")
+        self.gain = Parameter(np.ones(dim))
+        self.bias = Parameter(np.zeros(dim))
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -118,7 +118,7 @@ class LightweightConv(Module):
         self.dim = dim
         self.heads = heads
         self.kernel_size = kernel_size
-        self.kernel = Parameter(rng.normal(0.0, 0.1, size=(heads, kernel_size)), "kernel")
+        self.kernel = Parameter(rng.normal(0.0, 0.1, size=(heads, kernel_size)))
 
     def normalized_kernel(self) -> Tensor:
         return pt.softmax(self.kernel, axis=1)
@@ -214,8 +214,8 @@ class ConvBlock(Module):
         if kernel_size % 2 != 1:
             raise ShapeError(f"conv block kernel width must be odd, got {kernel_size}")
         scale = np.sqrt(6.0 / (kernel_size * d_in + d_out))
-        self.weight = Parameter(rng.uniform(-scale, scale, size=(kernel_size, d_in, d_out)), "weight")
-        self.bias = Parameter(np.zeros(d_out), "bias")
+        self.weight = Parameter(rng.uniform(-scale, scale, size=(kernel_size, d_in, d_out)))
+        self.bias = Parameter(np.zeros(d_out))
         self.norm = LayerNorm(d_out)
         self.dropout = dropout
 

@@ -16,6 +16,7 @@ from . import blocks, decoder, duration, tensor as pt, upsample, vae
 from .encoder import EncoderOutput, TextEncoder
 from .gradcheck import GradCheckReport, grad_check
 from .model import Batch, ModelConfig, SynthesisModel
+from .module import Module
 from .tensor import Tensor
 from .training import total_loss
 
@@ -34,50 +35,50 @@ def check_tensor_ops() -> GradCheckReport:
     lstm's input, the bce logits and targets, the gather table and the glu
     input are parameters of their own."""
     rng = np.random.default_rng(0)
-    w = pt.Parameter(rng.normal(size=(6, 6)), "w")
-    gain = pt.Parameter(np.ones(6), "gain")
-    bias = pt.Parameter(np.zeros(6), "bias")
-    taps = pt.Parameter(rng.normal(size=(2, 3)), "lconv_taps")
-    conv_w = pt.Parameter(rng.normal(size=(3, 6, 4)) * 0.5, "conv1d_weight")
-    conv_b = pt.Parameter(rng.normal(size=4), "conv1d_bias")
-    lstm_x = pt.Parameter(rng.normal(size=(2, 4, 3)), "lstm_input")
-    lstm_wx = pt.Parameter(rng.normal(size=(3, 12)) * 0.5, "lstm_w_x")
-    lstm_wh = pt.Parameter(rng.normal(size=(3, 12)) * 0.5, "lstm_w_h")
-    lstm_b = pt.Parameter(rng.normal(size=12), "lstm_b")
+    p = Module()  # the parameters, named by their attributes
+    p.w = pt.Parameter(rng.normal(size=(6, 6)))
+    p.gain = pt.Parameter(np.ones(6))
+    p.bias = pt.Parameter(np.zeros(6))
+    p.lconv_taps = pt.Parameter(rng.normal(size=(2, 3)))
+    p.conv1d_weight = pt.Parameter(rng.normal(size=(3, 6, 4)) * 0.5)
+    p.conv1d_bias = pt.Parameter(rng.normal(size=4))
+    p.lstm_input = pt.Parameter(rng.normal(size=(2, 4, 3)))
+    p.lstm_w_x = pt.Parameter(rng.normal(size=(3, 12)) * 0.5)
+    p.lstm_w_h = pt.Parameter(rng.normal(size=(3, 12)) * 0.5)
+    p.lstm_b = pt.Parameter(rng.normal(size=12))
     x = Tensor(rng.normal(size=(2, 5, 6)))
     mix = Tensor(rng.normal(size=(2, 5, 6)))
     mask = np.array([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]], dtype=float)
     rng_extra = np.random.default_rng(38)
-    bce_logits = pt.Parameter(rng_extra.normal(size=(2, 5)) * 2.0, "bce_logits")
-    bce_targets = pt.Parameter(rng_extra.random((2, 5)), "bce_targets")
-    table = pt.Parameter(rng_extra.normal(size=(4, 3)), "gather_table")
+    p.bce_logits = pt.Parameter(rng_extra.normal(size=(2, 5)) * 2.0)
+    p.bce_targets = pt.Parameter(rng_extra.random((2, 5)))
+    p.gather_table = pt.Parameter(rng_extra.normal(size=(4, 3)))
     ids = np.array([[0, 2, -1, 2], [3, -1, 1, 0]])
-    glu_in = pt.Parameter(rng_extra.normal(size=(2, 3, 4)), "glu_input")
+    p.glu_input = pt.Parameter(rng_extra.normal(size=(2, 3, 4)))
     valid_rows = np.array([0, 2, 3, 5])
 
     def f():
-        h = pt.matmul(x, w)
-        h = pt.layer_norm(h, gain, bias)
+        h = pt.matmul(x, p.w)
+        h = pt.layer_norm(h, p.gain, p.bias)
         h = pt.softmax(h, axis=-1) + pt.sigmoid(h) + pt.softplus(h) + pt.tanh(h)
-        c = pt.lightweight_conv(blocks.apply_mask(h, mask), pt.softmax(taps, axis=1))
-        s = pt.conv1d(blocks.apply_mask(c, mask), conv_w, conv_b, stride=2)
-        r = pt.lstm(lstm_x, lstm_wx, lstm_wh, lstm_b)
-        ce = pt.bce_with_logits(bce_logits, bce_targets)
-        rows = pt.gather_rows(table, ids)
-        packed = pt.move_rows(pt.glu(glu_in), valid_rows)
+        c = pt.lightweight_conv(blocks.apply_mask(h, mask), pt.softmax(p.lconv_taps, axis=1))
+        s = pt.conv1d(blocks.apply_mask(c, mask), p.conv1d_weight, p.conv1d_bias, stride=2)
+        r = pt.lstm(p.lstm_input, p.lstm_w_x, p.lstm_w_h, p.lstm_b)
+        ce = pt.bce_with_logits(p.bce_logits, p.bce_targets)
+        rows = pt.gather_rows(p.gather_table, ids)
+        packed = pt.move_rows(pt.glu(p.glu_input), valid_rows)
         moved = pt.move_rows(packed * packed, valid_rows, (2, 3))
         return (h * mix).sum() + _weighted(s, 31) + _weighted(r, 37) + _weighted(ce, 39) \
             + _weighted(rows, 40) + _weighted(moved, 41)
 
-    return grad_check(f, [w, gain, bias, taps, conv_w, conv_b, lstm_x, lstm_wx, lstm_wh, lstm_b,
-                          bce_logits, bce_targets, table, glu_in])
+    return grad_check(f, dict(p.named_parameters()))
 
 
 def check_blocks() -> GradCheckReport:
     rng_w = np.random.default_rng(1)
-    lconv = blocks.LConvBlock(16, 4, 3, rng_w).finalize_names("lconv_block.")
-    tf = blocks.TransformerBlock(16, 4, rng_w).finalize_names("transformer_block.")
-    conv = blocks.ConvBlock(16, 16, 3, rng_w).finalize_names("conv_block.")
+    lconv = blocks.LConvBlock(16, 4, 3, rng_w)
+    tf = blocks.TransformerBlock(16, 4, rng_w)
+    conv = blocks.ConvBlock(16, 16, 3, rng_w)
     x = Tensor(np.random.default_rng(30).normal(size=(2, 5, 16)))
     mask = np.array([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]], dtype=float)
 
@@ -87,32 +88,31 @@ def check_blocks() -> GradCheckReport:
         out = conv(out, mask)
         return _weighted(out, 3)
 
-    params = lconv.parameters() + tf.parameters() + conv.parameters()
+    params = (dict(lconv.named_parameters("lconv_block."))
+              | dict(tf.named_parameters("transformer_block."))
+              | dict(conv.named_parameters("conv_block.")))
     return grad_check(f, params, max_entries=24)
 
 
 def check_encoder() -> GradCheckReport:
     enc = TextEncoder(vocab_size=8, d_model=16, heads=4, conv_blocks=1, conv_kernel=3,
-                      transformer_blocks=1, rng=np.random.default_rng(4)).finalize_names("encoder.")
+                      transformer_blocks=1, rng=np.random.default_rng(4))
     ids = np.array([[0, 1, 2, 3, 4], [5, 6, 7, 1, 0]])
     mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=float)
 
     def f():
         return _weighted(enc(ids, mask).phonemes, 5)
 
-    return grad_check(f, enc.parameters(), max_entries=24)
+    return grad_check(f, dict(enc.named_parameters("encoder.")), max_entries=24)
 
 
 def check_vae() -> GradCheckReport:
     rng = np.random.default_rng(6)
-    gp = vae.GlobalPosterior(8, 2, 3, 4, np.random.default_rng(7),
-                             pre_blocks=1, strided_blocks=1).finalize_names("global_posterior.")
-    fp = vae.FinePosterior(8, 16, 8, 16, 4, 3, 4, np.random.default_rng(8),
-                           blocks=1).finalize_names("fine_posterior.")
-    prior = vae.FinePriorLSTM(16, 8, 4, 8, np.random.default_rng(9)).finalize_names("prior_lstm.")
-    proj_g = vae.LatentProjector(4, 8, np.random.default_rng(10)).finalize_names("latent_proj_global.")
-    proj_f = vae.LatentProjector(4, 8, np.random.default_rng(11), d_model=16, speaker_dim=8,
-                                 fine=True).finalize_names("latent_proj_fine.")
+    gp = vae.GlobalPosterior(8, 2, 3, 4, np.random.default_rng(7), pre_blocks=1, strided_blocks=1)
+    fp = vae.FinePosterior(8, 16, 8, 16, 4, 3, 4, np.random.default_rng(8), blocks=1)
+    prior = vae.FinePriorLSTM(16, 8, 4, 8, np.random.default_rng(9))
+    proj_g = vae.LatentProjector(4, 8, np.random.default_rng(10))
+    proj_f = vae.LatentProjector(4, 8, np.random.default_rng(11), context_dim=8 + 16)
     mel = Tensor(rng.normal(size=(2, 9, 8)))
     frame_mask = np.ones((2, 9))
     frames = np.array([[3, 2, 4], [2, 4, 3]])
@@ -136,14 +136,16 @@ def check_vae() -> GradCheckReport:
         out = _weighted(proj_g(z_g), 12) + _weighted(proj_f(z_f, spk, enc), 13)
         return out + kl_g + kl_f + prior_loss
 
-    params = (gp.parameters() + fp.parameters() + prior.parameters()
-              + proj_g.parameters() + proj_f.parameters())
+    params = (dict(gp.named_parameters("global_posterior."))
+              | dict(fp.named_parameters("fine_posterior."))
+              | dict(prior.named_parameters("prior_lstm."))
+              | dict(proj_g.named_parameters("latent_proj_global."))
+              | dict(proj_f.named_parameters("latent_proj_fine.")))
     return grad_check(f, params, max_entries=12)
 
 
 def check_duration() -> GradCheckReport:
-    pred = duration.DurationPredictor(16, 4, np.random.default_rng(14), blocks=1) \
-        .finalize_names("duration_predictor.")
+    pred = duration.DurationPredictor(16, 4, np.random.default_rng(14), blocks=1)
     x = Tensor(np.random.default_rng(15).normal(size=(2, 5, 16)))
     mask = np.ones((2, 5))
     frames = np.random.default_rng(16).integers(0, 4, size=(2, 5))
@@ -153,28 +155,30 @@ def check_duration() -> GradCheckReport:
         ce, l1 = duration.duration_loss(out, frames, 80.0, mask)
         return ce + l1 + _weighted(out.hidden, 17)
 
-    return grad_check(f, pred.parameters(), max_entries=24)
+    return grad_check(f, dict(pred.named_parameters("duration_predictor.")), max_entries=24)
 
 
 def check_upsampler() -> GradCheckReport:
-    comb = upsample.FeatureCombiner(16, np.random.default_rng(18)).finalize_names("combiner.")
+    comb = upsample.FeatureCombiner(16, np.random.default_rng(18))
     comb.logits.data[:] = np.random.default_rng(19).normal(size=(3, 16))
-    hidden = pt.Parameter(np.random.default_rng(20).normal(size=(2, 4, 16)), "hidden")
+    hidden = pt.Parameter(np.random.default_rng(20).normal(size=(2, 4, 16)))
     layout = upsample.frame_layout(np.array([[2, 0, 3, 1], [1, 2, 2, 2]]))
     feats = upsample.positional_features(layout, 16)
 
     def f():
-        return _weighted(comb(upsample.upsample(hidden, layout), feats), 21)
+        # the decoder reads the valid frames only
+        out = comb(upsample.upsample(hidden, layout), feats)
+        return _weighted(blocks.apply_mask(out, layout.mask), 21)
 
-    return grad_check(f, [hidden] + comb.parameters(), max_entries=24)
+    return grad_check(f, {"hidden": hidden} | dict(comb.named_parameters("combiner.")),
+                      max_entries=24)
 
 
 def check_decoder() -> GradCheckReport:
     lc = decoder.SpectrogramDecoder("lconv", 16, 8, blocks=2, heads=4, kernel_size=3,
-                                    rng=np.random.default_rng(22)).finalize_names("lconv_decoder.")
+                                    rng=np.random.default_rng(22))
     tf = decoder.SpectrogramDecoder("transformer", 16, 8, blocks=2, heads=4, kernel_size=3,
-                                    rng=np.random.default_rng(23)) \
-        .finalize_names("transformer_decoder.")
+                                    rng=np.random.default_rng(23))
     x = Tensor(np.random.default_rng(24).normal(size=(2, 6, 16)))
     mask = np.ones((2, 6))
     target = Tensor(np.random.default_rng(25).random((2, 6, 8)))
@@ -184,7 +188,9 @@ def check_decoder() -> GradCheckReport:
         b = decoder.spectrogram_loss(tf(x, mask), target, mask)
         return a + b
 
-    return grad_check(f, lc.parameters() + tf.parameters(), max_entries=16)
+    params = (dict(lc.named_parameters("lconv_decoder."))
+              | dict(tf.named_parameters("transformer_decoder.")))
+    return grad_check(f, params, max_entries=16)
 
 
 def _tiny_model_config(variant: str) -> ModelConfig:
@@ -224,7 +230,7 @@ def _check_assembled(variant: str, seed: int, batch_seed: int = 26) -> GradCheck
                                   prior_teacher=teacher0)
         return total_loss(out, 1.0, beta)
 
-    return grad_check(f, model.parameters(), max_entries=4)
+    return grad_check(f, dict(model.named_parameters()), max_entries=4)
 
 
 def check_loss_global() -> GradCheckReport:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as pt
-from .blocks import (ConvBlock, TransformerBlock, apply_mask, repeat_over_positions,
-                     sinusoidal_embedding)
+from .blocks import ConvBlock, TransformerBlock, repeat_over_positions, sinusoidal_embedding
 from .errors import VocabularyError
 from .module import Module, ModuleList
 from .tensor import Parameter, Tensor
@@ -31,8 +30,7 @@ class TextEncoder(Module):
                  dropout: float = 0.1):
         self.vocab_size = vocab_size
         self.d_model = d_model
-        self.embedding = Parameter(
-            rng.normal(0.0, d_model ** -0.5, size=(vocab_size, d_model)), "embedding")
+        self.embedding = Parameter(rng.normal(0.0, d_model ** -0.5, size=(vocab_size, d_model)))
         self.convs = ModuleList(
             ConvBlock(d_model, d_model, conv_kernel, rng, dropout) for _ in range(conv_blocks))
         self.transformers = ModuleList(
@@ -47,14 +45,13 @@ class TextEncoder(Module):
                 f"phoneme id {ids[b, n]} at batch {b}, token {n} outside vocabulary of size {self.vocab_size}")
         if token_mask is None:
             token_mask = np.ones(ids.shape, dtype=float)
-        # each conv block masks its input, and the mask after the positions
-        # does it when there is none
+        # padding rows are never read: each conv block masks its input, and
+        # the first transformer block packs the valid rows
         x = pt.gather_rows(self.embedding, ids)
         for conv in self.convs:
             x = conv(x, token_mask, rng)
         positions = np.broadcast_to(np.arange(ids.shape[1], dtype=float), ids.shape)
         x = x + sinusoidal_embedding(positions, self.d_model)
-        x = apply_mask(x, token_mask)
         for block in self.transformers:
             x = block(x, token_mask, rng)
         return EncoderOutput(phonemes=x, token_mask=np.asarray(token_mask, dtype=float))
@@ -63,7 +60,7 @@ class TextEncoder(Module):
 class SpeakerTable(Module):
     def __init__(self, num_speakers: int, dim: int, rng: np.random.Generator):
         self.num_speakers = num_speakers
-        self.table = Parameter(rng.normal(0.0, dim ** -0.5, size=(num_speakers, dim)), "table")
+        self.table = Parameter(rng.normal(0.0, dim ** -0.5, size=(num_speakers, dim)))
 
     def __call__(self, speaker_ids: np.ndarray) -> Tensor:
         ids = np.asarray(speaker_ids)

@@ -59,15 +59,17 @@ def _rel_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
-def grad_check(f, params, step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
-               max_entries: int | None = None, sample_seed: int = 0) -> GradCheckReport:
+def grad_check(f, params: dict[str, Parameter], step: float = DEFAULT_STEP,
+               tol: float = DEFAULT_TOL, max_entries: int | None = None,
+               sample_seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of scalar ``f()`` against central differences.
 
-    ``f`` must be deterministic; it is evaluated twice up front and rejected if
-    the values differ.  ``max_entries`` caps the entries checked per parameter
+    ``params`` maps the report's names to the parameters to check, in report
+    order; a module's are ``dict(module.named_parameters(prefix))``.  ``f``
+    must be deterministic; it is evaluated twice up front and rejected if the
+    values differ.  ``max_entries`` caps the entries checked per parameter
     (chosen by a seeded permutation); None checks every entry.
     """
-    params = list(params)
     if np.dtype(active_dtype()) != np.float64:
         raise RuntimeError("grad_check needs the high-precision mode; wrap the call in "
                            "precision(\"high\") (finite differences are meaningless in float32)")
@@ -76,15 +78,16 @@ def grad_check(f, params, step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
     if v1 != v2:
         raise NonDeterministicError(f"target returned {v1!r} then {v2!r}; fix the noise source")
 
-    for p in params:
+    for p in params.values():
         p.zero_grad()
     loss = f()
     backward(loss)
-    analytic = {id(p): (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for p in params}
+    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+                for name, p in params.items()}
 
     rng = np.random.default_rng(sample_seed)
     report = GradCheckReport(tolerance=tol)
-    for p in params:
+    for name, p in params.items():
         flat = p.data.reshape(-1)
         idx = np.arange(flat.size)
         if max_entries is not None and flat.size > max_entries:
@@ -98,10 +101,9 @@ def grad_check(f, params, step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
             down = float(f().data)
             flat[i] = saved
             numeric = (up - down) / (2.0 * step)
-            a = float(analytic[id(p)].reshape(-1)[i])
+            a = float(analytic[name].reshape(-1)[i])
             err = _rel_error(a, numeric)
             if err >= worst[0]:
                 worst = (err, np.unravel_index(int(i), p.data.shape), a, numeric)
-        name = p.name if isinstance(p, Parameter) and p.name else f"param{params.index(p)}"
         report.entries.append(ParamReport(name, worst[0], len(idx), worst[1], worst[2], worst[3]))
     return report

@@ -33,6 +33,12 @@ from .vae import (FinePosterior, FinePriorLSTM, GlobalPosterior, LatentProjector
 
 VARIANTS = ("novae", "global", "fine")
 
+# The largest corpus a model is built for.  A corpus header or dataset.txt
+# beyond these is taken as corrupt, before any table is allocated.
+MAX_VOCAB_SIZE = 65536
+MAX_SPEAKERS = 65536
+MAX_MEL_BINS = 1024
+
 
 @dataclass(kw_only=True)
 class ModelHyperparams:
@@ -104,6 +110,10 @@ class ModelConfig(ModelHyperparams):
         for name in counts + [h for h, _, _ in heads] + kernels:
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive, got {getattr(self, name)}")
+        for name, cap in (("vocab_size", MAX_VOCAB_SIZE), ("num_speakers", MAX_SPEAKERS),
+                          ("mel_bins", MAX_MEL_BINS)):
+            if getattr(self, name) > cap:
+                problems.append(f"{name} must be at most {cap}, got {getattr(self, name)}")
         for name, channels, width in heads:
             count = getattr(self, name)
             if count > 0 and width % count != 0:
@@ -182,13 +192,12 @@ class SynthesisModel(Module):
             self.prior_lstm = FinePriorLSTM(cfg.d_model, cfg.speaker_dim, cfg.latent_dim,
                                             cfg.prior_hidden, rng)
             self.latent_proj = LatentProjector(cfg.latent_dim, cfg.latent_proj_dim, rng,
-                                               cfg.d_model, cfg.speaker_dim, fine=True)
+                                               cfg.speaker_dim + cfg.d_model)
         self.duration_predictor = DurationPredictor(cfg.d_cond, cfg.dur_heads, rng,
                                                     cfg.dur_blocks, cfg.dur_kernel, cfg.dropout)
         self.combiner = FeatureCombiner(cfg.d_cond, rng)
         self.decoder = SpectrogramDecoder(cfg.decoder, cfg.d_cond, cfg.mel_bins, cfg.dec_blocks,
                                           cfg.dec_heads, cfg.dec_kernel, rng, cfg.dropout)
-        self.finalize_names()
 
     @classmethod
     def build(cls, cfg: ModelConfig, seed: int) -> "SynthesisModel":
@@ -224,9 +233,9 @@ class SynthesisModel(Module):
         """Token states and their frame layout -> per-block mel predictions [B, T, K].
 
         Upsamples ``hidden`` along ``layout``, adds the blended positional
-        features and runs the decoder over the layout's mask.  A layout padded
-        past its frames (to a target mel's length) feeds zero rows there.
-        ``rng`` switches the decoder's dropout on.
+        features and runs the decoder over the layout's mask, whose first block
+        reads only the valid frames (also of a layout padded to a target mel's
+        length).  ``rng`` switches the decoder's dropout on.
         """
         x = self.combiner(upsample(hidden, layout), positional_features(layout, self.cfg.d_cond))
         return self.decoder(x, layout.mask, rng)
@@ -257,11 +266,6 @@ class SynthesisModel(Module):
             spec_loss=spec_loss, predictions=preds, dur_ce=ce, dur_l1=l1,
             kl_per_utterance=kl, prior_loss=prior_loss, duration_pred=dur_pred, layout=layout,
             posterior=post, n_tokens=batch.n_valid_tokens)
-
-    def teacher_forward(self, batch: Batch) -> ForwardOutputs:
-        """Deterministic evaluation pass: posterior means, ground-truth durations."""
-        with pt.no_grad():
-            return self.forward_train(batch)
 
     def predict_durations_free(self, tokens: np.ndarray, speakers: np.ndarray,
                                token_mask=None) -> DurationPrediction:

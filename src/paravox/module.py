@@ -27,16 +27,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def finalize_names(self, prefix: str = ""):
-        """Write the hierarchical path into each Parameter and check uniqueness."""
-        seen = set()
-        for name, p in self.named_parameters(prefix):
-            if name in seen:
-                raise ValueError(f"duplicate parameter name {name!r}")
-            seen.add(name)
-            p.name = name
-        return self
-
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()
@@ -97,9 +87,9 @@ def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nda
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True):
-        self.weight = Parameter(glorot(rng, (d_in, d_out), d_in, d_out), "weight")
+        self.weight = Parameter(glorot(rng, (d_in, d_out), d_in, d_out))
         if bias:
-            self.bias = Parameter(np.zeros(d_out), "bias")
+            self.bias = Parameter(np.zeros(d_out))
         else:
             object.__setattr__(self, "bias", None)
 

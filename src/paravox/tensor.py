@@ -188,18 +188,16 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor that the optimizer updates.
+    """A leaf tensor that the optimizer updates.
 
-    ``name`` starts as the local attribute name and is rewritten to the full
-    hierarchical path when the owning model finalizes its registry.
+    Its name is its path in the module tree (``Module.named_parameters``).
     """
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         # Parameters are leaves regardless of the no_grad state at creation.
         super().__init__(np.asarray(data, dtype=_state["dtype"]))
-        self.name = name
 
 
 def constant(data) -> Tensor:

@@ -435,7 +435,8 @@ def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
     for idx in _chunks(len(utterances), batch_size):
         batch = make_batch(utterances, idx)
         if mode == "teacher":
-            out = model.teacher_forward(batch)
+            with no_grad():  # reads only the last head, the layout and the duration heads
+                out = model.forward_train(batch, iterative=False)
             pred = out.predictions[-1].data
             mask = out.layout.mask
             abs_err += float((np.abs(pred - batch.mel) * mask[:, :, None]).sum())

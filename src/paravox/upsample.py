@@ -6,7 +6,7 @@ it is padding.  Upsampling repeats each token's vector for its frame count by
 a gather along that layout; three positional features (within-phoneme
 sinusoid, duration sinusoid, fractional progression) are blended by
 per-channel softmax weights and added to the upsampled stream, which keeps
-unit weight.  Padding frames read zero rows everywhere.
+unit weight.  Upsampling and the features give zero rows at padding frames.
 """
 
 from __future__ import annotations
@@ -98,11 +98,12 @@ class FeatureCombiner(Module):
 
     The softmax spans the three embeddings only; the upsampled decoder
     activation is added with unit weight.  Fractional progression is lifted
-    from 1 channel to d by a learned linear map first.
+    from 1 channel to d by a learned linear map first.  Output rows at padding
+    are not zeroed: the decoder reads only the valid rows.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
-        self.logits = Parameter(np.zeros((3, dim)), "logits")
+        self.logits = Parameter(np.zeros((3, dim)))
         self.coord_proj = Linear(1, dim, rng)
         self.dim = dim
 
@@ -111,6 +112,6 @@ class FeatureCombiner(Module):
 
     def __call__(self, upsampled: Tensor, feats: PositionalFeatures) -> Tensor:
         w = self.weights()
-        lifted = self.coord_proj(feats.fraction) * feats.frame_mask[:, :, None]
+        lifted = self.coord_proj(feats.fraction)
         blend = (w[0] * feats.within + w[1] * feats.duration + w[2] * lifted)
         return upsampled + blend

@@ -52,7 +52,7 @@ class SpeakerPrior(Module):
     """Learnable per-speaker prior mean; variance fixed at 1."""
 
     def __init__(self, num_speakers: int, latent_dim: int):
-        self.means = Parameter(np.zeros((num_speakers, latent_dim)), "means")
+        self.means = Parameter(np.zeros((num_speakers, latent_dim)))
 
     def __call__(self, speaker_ids: np.ndarray) -> Tensor:
         return pt.gather_rows(self.means, np.asarray(speaker_ids))
@@ -75,8 +75,8 @@ class GlobalPosterior(Module):
         self.strided = ModuleList()
         for _ in range(strided_blocks):
             conv = Module()
-            conv.weight = Parameter(glorot(rng, (3, mel_bins, mel_bins), 3 * mel_bins, mel_bins), "weight")
-            conv.bias = Parameter(np.zeros(mel_bins), "bias")
+            conv.weight = Parameter(glorot(rng, (3, mel_bins, mel_bins), 3 * mel_bins, mel_bins))
+            conv.bias = Parameter(np.zeros(mel_bins))
             self.stride_convs.append(conv)
             self.strided.append(LConvBlock(mel_bins, heads, kernel_size, rng, dropout))
         self.mean_proj = Linear(mel_bins, latent_dim, rng)
@@ -163,9 +163,9 @@ class FinePriorLSTM(Module):
     def __init__(self, d_model: int, speaker_dim: int, latent_dim: int, hidden: int,
                  rng: np.random.Generator):
         in_dim = speaker_dim + d_model + latent_dim
-        self.w_x = Parameter(glorot(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden), "w_x")
-        self.w_h = Parameter(glorot(rng, (hidden, 4 * hidden), hidden, 4 * hidden), "w_h")
-        self.b = Parameter(np.zeros(4 * hidden), "b")
+        self.w_x = Parameter(glorot(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden))
+        self.w_h = Parameter(glorot(rng, (hidden, 4 * hidden), hidden, 4 * hidden))
+        self.b = Parameter(np.zeros(4 * hidden))
         self.out_proj = Linear(hidden, latent_dim, rng)
         self.hidden = hidden
         self.latent_dim = latent_dim
@@ -217,18 +217,17 @@ class FinePriorLSTM(Module):
 class LatentProjector(Module):
     """Lift an 8-d latent to the 32 conditioning channels.
 
-    The utterance-level variant projects the latent alone; the per-phoneme
-    variant first concatenates the speaker embedding and encoder outputs.
+    An utterance-level latent is projected alone.  A per-phoneme latent comes
+    with the speaker embedding and the encoder output, concatenated to it
+    first; ``context_dim`` is their width (speaker_dim + d_model).
     """
 
     def __init__(self, latent_dim: int, proj_dim: int, rng: np.random.Generator,
-                 d_model: int = 0, speaker_dim: int = 0, fine: bool = False):
-        self.fine = fine
-        in_dim = latent_dim + (speaker_dim + d_model if fine else 0)
-        self.proj = Linear(in_dim, proj_dim, rng)
+                 context_dim: int = 0):
+        self.proj = Linear(latent_dim + context_dim, proj_dim, rng)
 
     def __call__(self, latent: Tensor, speaker_emb: Tensor | None = None, enc=None) -> Tensor:
-        if not self.fine:
+        if enc is None:
             return self.proj(latent)
         spk = repeat_over_positions(speaker_emb, latent.shape[1])
         return self.proj(pt.concat([latent, spk, enc.phonemes], axis=2))

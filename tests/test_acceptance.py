@@ -203,7 +203,6 @@ def test_prior_gradient_exactly_zero_into_posterior():
         from paravox.encoder import EncoderOutput
         rng = np.random.default_rng(0)
         fp = vae.FinePosterior(8, 16, 8, 16, 2, 3, 8, np.random.default_rng(1), blocks=1)
-        fp.finalize_names("fp.")
         prior = vae.FinePriorLSTM(16, 8, 8, 8, np.random.default_rng(2))
         frames = np.array([[3, 2, 4]])
         mel = Tensor(rng.normal(size=(1, 9, 8)))
@@ -357,7 +356,7 @@ def test_schedule_continuity_and_clip_bound():
     rng = np.random.default_rng(6)
     clip_ok = True
     for _ in range(200):
-        params = [pt.Parameter(np.zeros(7), "a"), pt.Parameter(np.zeros(3), "b")]
+        params = [pt.Parameter(np.zeros(7)), pt.Parameter(np.zeros(3))]
         for p in params:
             p.grad = rng.normal(size=p.data.shape) * rng.uniform(0, 50)
         clip_global_norm(params, 0.2)

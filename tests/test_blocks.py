@@ -4,7 +4,6 @@ import pytest
 import paravox.tensor as pt
 from paravox import blocks
 from paravox.errors import ShapeError
-from paravox.gradcheck import grad_check
 from paravox.tensor import Tensor
 
 
@@ -12,11 +11,6 @@ from paravox.tensor import Tensor
 def high_precision():
     with pt.precision("high"):
         yield
-
-
-def weighted_sum(out: Tensor, seed=0) -> Tensor:
-    w = np.random.default_rng(seed).normal(size=out.shape)
-    return (out * Tensor(w)).sum()
 
 
 # -- sinusoidal embedding ------------------------------------------------------
@@ -118,15 +112,11 @@ def test_lconv_block_padding_does_not_contribute():
 
 # -- LConv block -----------------------------------------------------------------
 
-def make_lconv_block(dim=8, heads=2, k=3, seed=0):
-    return blocks.LConvBlock(dim, heads, k, np.random.default_rng(seed)).finalize_names("blk.")
-
-
 def test_lconv_block_zero_weights_degenerate_to_identity():
     # with zero projections both residual branches vanish: pre-norm passthrough
-    blk = make_lconv_block()
-    for _, p in blk.named_parameters():
-        if p.name.endswith(("weight", "bias")) and "norm" not in p.name:
+    blk = blocks.LConvBlock(8, 2, 3, np.random.default_rng(0))
+    for name, p in blk.named_parameters():
+        if name.endswith(("weight", "bias")) and "norm" not in name:
             p.data[:] = 0.0
     x = Tensor(np.random.default_rng(3).normal(size=(2, 4, 8)))
     out = blk(x)
@@ -138,13 +128,6 @@ def test_lconv_block_preserves_shape(shape, heads):
     blk = blocks.LConvBlock(shape[2], heads, 3, np.random.default_rng(1))
     x = Tensor(np.random.default_rng(2).normal(size=shape))
     assert blk(x).shape == shape
-
-
-def test_lconv_block_gradient_check():
-    blk = make_lconv_block()
-    x = Tensor(np.random.default_rng(5).normal(size=(2, 5, 8)))
-    report = grad_check(lambda: weighted_sum(blk(x)), blk.parameters())
-    assert report.passed, report.format_table()
 
 
 # -- attention and the transformer block ---------------------------------------------
@@ -185,14 +168,6 @@ def test_attention_rows_sum_to_one_over_valid_keys():
         assert np.all(weights[0, ..., :3] > 0.0) and np.all(weights[1] > 0.0)
 
 
-def test_transformer_block_gradient_check():
-    blk = blocks.TransformerBlock(8, 2, np.random.default_rng(7)).finalize_names("tf.")
-    x = Tensor(np.random.default_rng(8).normal(size=(2, 5, 8)))
-    mask = np.array([[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]], dtype=float)
-    report = grad_check(lambda: weighted_sum(blk(x, mask)), blk.parameters())
-    assert report.passed, report.format_table()
-
-
 def test_transformer_block_preserves_shape():
     blk = blocks.TransformerBlock(8, 4, np.random.default_rng(9))
     x = Tensor(np.random.default_rng(10).normal(size=(3, 7, 8)))
@@ -201,13 +176,10 @@ def test_transformer_block_preserves_shape():
 
 # -- conv block ------------------------------------------------------------------------
 
-def test_conv_block_shapes_and_gradcheck():
-    blk = blocks.ConvBlock(6, 6, 3, np.random.default_rng(11)).finalize_names("conv.")
+def test_conv_block_preserves_shape():
+    blk = blocks.ConvBlock(6, 6, 3, np.random.default_rng(11))
     x = Tensor(np.random.default_rng(12).normal(size=(2, 4, 6)))
-    out = blk(x)
-    assert out.shape == (2, 4, 6)
-    report = grad_check(lambda: weighted_sum(blk(x)), blk.parameters())
-    assert report.passed, report.format_table()
+    assert blk(x).shape == (2, 4, 6)
 
 
 def test_conv1d_strided_length():

@@ -10,6 +10,7 @@ import pytest
 from paravox.cli import EXIT_CHECK, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from paravox.corpus import CorpusHeader, read_corpus
 from paravox.fileformats import read_arrays, read_mel, write_arrays
+from paravox.model import MAX_MEL_BINS, MAX_SPEAKERS
 from paravox.training import METRIC_COLUMNS, TrainConfig, read_settings
 
 from conftest import TINY_TRAIN_KW
@@ -393,6 +394,37 @@ def test_train_on_corpus_with_out_of_range_id_exits_2(tmp_path, corpus_dir, caps
     assert not out.exists()
 
 
+def test_train_on_corpus_with_implausible_speaker_count_exits_1(tmp_path, corpus_dir, capsys):
+    path = corpus_dir / "corpus.bin"
+    data = bytearray(path.read_bytes())
+    # num_speakers follows the magic, version, frame rate, mel_bins and vocab_size
+    struct.pack_into("<I", data, 25, 2 ** 31 - 1)
+    path.write_bytes(bytes(data))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus_dir), "--out", str(out), "--steps", "2"])
+    assert rc == EXIT_USAGE
+    assert f"num_speakers must be at most {MAX_SPEAKERS}, got {2 ** 31 - 1}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, cap", [("num_speakers", MAX_SPEAKERS), ("mel_bins", MAX_MEL_BINS)])
+def test_synth_with_implausible_dataset_size_exits_1(tmp_path, novae_run, capsys, key, cap):
+    run = shutil.copytree(novae_run[1], tmp_path / "run")
+    dataset = run / "dataset.txt"
+    settings = dict(line.split(" = ") for line in dataset.read_text().splitlines())
+    settings[key] = str(2 ** 31 - 1)
+    dataset.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    out = tmp_path / "synth"
+    capsys.readouterr()
+    rc = main(["synth", "--ckpt", str(run / "model.ckpt"), "--text", "aa b",
+               "--speaker", "0", "--out", str(out / "x.mel")])
+    assert rc == EXIT_USAGE
+    assert f"{key} must be at most {cap}, got {2 ** 31 - 1}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_resume_reproduces_trajectory(tmp_path, corpus_dir):
     cfg_full = write_tiny_train_config(tmp_path / "full.cfg", total_steps=12)
     run_a = tmp_path / "run_a"
@@ -436,13 +468,13 @@ def test_gradcheck_injected_fault_exits_nonzero(monkeypatch, capsys):
     from paravox.tensor import Parameter, Tensor
 
     def broken_check():
-        w = Parameter(np.array([[1.0, 2.0]]), "w")
+        w = Parameter(np.array([[1.0, 2.0]]))
         x = Tensor(np.array([[0.5], [1.5]]))
 
         def scaled(p):  # backward deliberately off by 1%
             return Tensor(p.data.copy(), (p,), lambda g: p._accum(1.01 * g))
 
-        return grad_check(lambda: (pt.matmul(x, scaled(w)) ** 2.0).sum(), [w])
+        return grad_check(lambda: (pt.matmul(x, scaled(w)) ** 2.0).sum(), {"w": w})
 
     monkeypatch.setitem(checks.REGISTRY, "upsampler", broken_check)
     rc = main(["gradcheck", "--module", "upsampler"])

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import paravox.tensor as pt
 from paravox import duration
 from paravox.errors import DegenerateSynthesisError, ShapeError
-from paravox.gradcheck import grad_check
 from paravox.tensor import Tensor
 
 
@@ -18,7 +19,7 @@ def high_precision():
 
 def make_predictor(d=8, heads=2, blocks=2, seed=0):
     return duration.DurationPredictor(
-        d, heads, np.random.default_rng(seed), blocks=blocks).finalize_names("dur.")
+        d, heads, np.random.default_rng(seed), blocks=blocks)
 
 
 def test_seconds_head_strictly_positive():
@@ -45,20 +46,6 @@ def test_masked_tokens_do_not_change_loss():
     pce, pl1 = duration.duration_loss(pout, pframes, 80.0, pmask)
     assert pce.data == pytest.approx(ce.data, rel=1e-9)
     assert pl1.data == pytest.approx(l1.data, rel=1e-9)
-
-
-def test_predictor_gradcheck():
-    pred = make_predictor(blocks=1)
-    x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 8)))
-    frames = np.random.default_rng(5).integers(0, 6, size=(2, 5))
-
-    def loss():
-        out = pred(x)
-        ce, l1 = duration.duration_loss(out, frames, 80.0)
-        return ce + l1
-
-    report = grad_check(loss, pred.parameters(), max_entries=30)
-    assert report.passed, report.format_table()
 
 
 # -- finalize -----------------------------------------------------------------------
@@ -89,18 +76,40 @@ def test_finalize_all_gated_off_raises():
         duration.finalize_durations(np.array([[0.1, 0.2]]), np.array([[1.0, 1.0]]), 80.0)
 
 
-def test_finalize_length_preservation_fuzz():
-    rng = np.random.default_rng(6)
-    for _ in range(2000):
-        n = rng.integers(1, 12)
-        p = rng.random(n)
-        s = rng.random(n) * 0.2
-        gated = np.where(p < duration.GATE_THRESHOLD, 0.0, s)
-        if gated.sum() * 80.0 < 0.5:
-            continue  # would round to zero total; degenerate by construction
-        frames = duration.finalize_durations(p[None], s[None], 80.0)
-        assert frames.sum() == math.floor(gated.sum() * 80.0 + 0.5)
-        assert np.all(frames >= 0)
+@st.composite
+def gated_batches(draw):
+    """(p_z, seconds) of 1-4 rows of 1-12 tokens; about half the gates clear
+    the threshold, short seconds make all-zero rows common, and half-frame
+    seconds (0.5 and 1.5 frames at 80 Hz) land on the rounding ties."""
+    rows, tokens = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    gate = st.one_of(st.floats(0.0, 1.0), st.floats(duration.GATE_THRESHOLD, 1.0))
+    seconds = st.one_of(st.floats(0.0, 0.2), st.floats(0.0, 0.01),
+                        st.sampled_from([0.00625, 0.01875]))
+    row = st.lists(st.tuples(gate, seconds), min_size=tokens, max_size=tokens)
+    cells = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    return cells[..., 0], cells[..., 1]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gated_batches())
+def test_finalize_length_preservation_fuzz(batch):
+    p_z, seconds = batch
+    gated_off = p_z < duration.GATE_THRESHOLD
+    totals = []
+    for row in np.where(gated_off, 0.0, seconds):
+        gated_seconds = 0.0
+        for s in row:  # left to right, as the cumulative rounding adds them
+            gated_seconds += s
+        totals.append(math.floor(80.0 * gated_seconds + 0.5))
+    if 0 in totals:
+        with pytest.raises(DegenerateSynthesisError):
+            duration.finalize_durations(p_z, seconds, 80.0)
+        return
+    frames = duration.finalize_durations(p_z, seconds, 80.0)
+    assert frames.sum(axis=1).tolist() == totals
+    assert np.all(frames >= 0)
+    assert np.all(frames[gated_off] == 0)
 
 
 # -- losses ---------------------------------------------------------------------------

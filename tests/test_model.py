@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import paravox.tensor as pt
+from paravox.decoder import spectrogram_loss
 from paravox.errors import FormatError, ShapeError, VocabularyError
 from paravox.fileformats import read_arrays, write_arrays
 from paravox.model import ModelConfig, SynthesisModel, make_batch
@@ -61,7 +62,6 @@ def test_parameter_names_unique_and_hierarchical(tiny_spec):
     model = build(tiny_spec, "fine")
     names = [n for n, _ in model.named_parameters()]
     assert len(names) == len(set(names))
-    assert all(p.name == n for n, p in model.named_parameters())
     assert any(n.startswith("encoder.") for n in names)
     assert any(n.startswith("prior_lstm.") for n in names)
 
@@ -114,9 +114,12 @@ def test_forward_without_generators_is_the_deterministic_teacher_pass(tiny_spec,
     batch = make_batch(tiny_corpus[:3])
     plain = model.forward_train(batch)
     again = model.forward_train(batch)
-    teacher = model.teacher_forward(batch)
+    with pt.no_grad():
+        teacher = model.forward_train(batch, iterative=False)
+    assert np.array_equal(again.spec_loss.data, plain.spec_loss.data)
+    single = spectrogram_loss(plain.predictions[-1:], batch.mel, plain.layout.mask)
+    assert np.array_equal(teacher.spec_loss.data, single.data)
     for out in (again, teacher):
-        assert np.array_equal(out.spec_loss.data, plain.spec_loss.data)
         assert np.array_equal(out.kl_per_utterance.data, plain.kl_per_utterance.data)
         for a, b in zip(out.predictions, plain.predictions):
             assert np.array_equal(a.data, b.data)

