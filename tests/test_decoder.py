@@ -14,8 +14,7 @@ def high_precision():
 
 
 def make_decoder(kind="lconv", blocks=3, d=8, mel=6, heads=2, k=3, seed=0):
-    return decoder.SpectrogramDecoder(kind, d, mel, blocks, heads, k,
-                                      np.random.default_rng(seed))
+    return decoder.SpectrogramDecoder(kind, d, mel, blocks, heads, k, np.random.default_rng(seed))
 
 
 def every_frame(target):

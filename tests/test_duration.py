@@ -18,8 +18,7 @@ def high_precision():
 
 
 def make_predictor(d=8, heads=2, blocks=2, seed=0):
-    return duration.DurationPredictor(
-        d, heads, np.random.default_rng(seed), blocks=blocks)
+    return duration.DurationPredictor(d, heads, np.random.default_rng(seed), blocks=blocks)
 
 
 def test_seconds_head_strictly_positive():

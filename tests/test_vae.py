@@ -202,8 +202,7 @@ def test_fine_posterior_masked_rows_zero():
 # -- learned prior ---------------------------------------------------------------------
 
 def make_prior(d_model=8, spk=4, latent=4, hidden=6, seed=0):
-    return vae.FinePriorLSTM(d_model, spk, latent, hidden,
-                             np.random.default_rng(seed))
+    return vae.FinePriorLSTM(d_model, spk, latent, hidden, np.random.default_rng(seed))
 
 
 def test_prior_zero_teacher_zero_projection_gives_zero_loss():
