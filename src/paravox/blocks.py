@@ -57,23 +57,6 @@ def repeat_over_positions(x: Tensor, n: int) -> Tensor:
     return pt.expand(pt.reshape(x, (b, 1, d)), (b, n, d))
 
 
-def attention_weights(q: Tensor, k: Tensor, key_mask=None) -> Tensor:
-    """Scaled dot-product attention weights softmax(q k^T / sqrt(d)) over the keys.
-
-    ``q`` is [..., Tq, d] and ``k`` [..., Tk, d], with 3-D or 4-D operands
-    (batch first, heads next when 4-D).  A [B, Tk] ``key_mask`` (1 = valid)
-    pushes the scores of masked keys a billion below the rest before the
-    softmax, so they get zero weight.
-    """
-    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    scores = pt.matmul(q, pt.transpose(k, axes)) * (q.shape[-1] ** -0.5)
-    if key_mask is not None:
-        neg = (np.asarray(key_mask, dtype=pt.active_dtype()) - 1.0) * 1e9
-        b, tk = neg.shape
-        scores = scores + neg.reshape((b,) + (1,) * (scores.ndim - 2) + (tk,))
-    return pt.softmax(scores, axis=-1)
-
-
 def sinusoidal_embedding(positions, dim: int) -> Tensor:
     """Interleaved sin/cos embedding; accepts real-valued positions.
 
@@ -166,7 +149,6 @@ class MultiHeadSelfAttention(Module):
         self.v = Linear(dim, dim, rng)
         self.out = Linear(dim, dim, rng)
         self.heads = heads
-        self.dim = dim
 
     def __call__(self, x: Tensor, rows: Rows | None = None) -> Tensor:
         """Packed rows in and out: ``rows`` unpacks ``x`` to [B, T, d] for the
@@ -175,16 +157,8 @@ class MultiHeadSelfAttention(Module):
         with no padding."""
         rows = Rows(None) if rows is None else rows
         x = rows.unpack(x)
-        b, t, d = x.shape
-        h = self.heads
-        dh = d // h
-
-        def split(z):
-            return pt.transpose(pt.reshape(z, (b, t, h, dh)), (0, 2, 1, 3))
-
-        q, k, v = split(self.q(x)), split(self.k(x)), split(self.v(x))
-        ctx = pt.matmul(attention_weights(q, k, rows.mask), v)
-        return self.out(rows.pack(pt.reshape(pt.transpose(ctx, (0, 2, 1, 3)), (b, t, d))))
+        ctx = pt.attention(self.q(x), self.k(x), self.v(x), self.heads, rows.mask)
+        return self.out(rows.pack(ctx))
 
 
 class TransformerBlock(Module):

@@ -29,11 +29,12 @@ def _weighted(out: Tensor, seed: int) -> Tensor:
 def check_tensor_ops() -> GradCheckReport:
     """Element-wise ops and every fused op: softmax, layer_norm, a lightweight
     conv (odd width, one masked row), a strided conv1d, an lstm (B=2, N=4),
-    bce_with_logits and glu, plus a row gather with negative (zero-row) ids
-    and a pack then unpack of the rows of a [2, 3] layout with two padded.
-    The convs' input gradients are checked through ``w``, which feeds them; the
-    lstm's input, the bce logits and targets, the gather table and the glu
-    input are parameters of their own."""
+    bce_with_logits, glu and a two-head attention (one masked key), plus a
+    row gather with negative (zero-row) ids and a pack then unpack of the
+    rows of a [2, 3] layout with two padded.  The convs' input gradients are
+    checked through ``w``, which feeds them; the lstm's input, the bce logits
+    and targets, the gather table, the glu input and the attention's queries,
+    keys and values are parameters of their own."""
     rng = np.random.default_rng(0)
     p = Module()  # the parameters, named by their attributes
     p.w = pt.Parameter(rng.normal(size=(6, 6)))
@@ -56,6 +57,11 @@ def check_tensor_ops() -> GradCheckReport:
     ids = np.array([[0, 2, -1, 2], [3, -1, 1, 0]])
     p.glu_input = pt.Parameter(rng_extra.normal(size=(2, 3, 4)))
     valid_rows = np.array([0, 2, 3, 5])
+    rng_attn = np.random.default_rng(42)
+    p.attn_q = pt.Parameter(rng_attn.normal(size=(2, 3, 4)))
+    p.attn_k = pt.Parameter(rng_attn.normal(size=(2, 4, 4)))
+    p.attn_v = pt.Parameter(rng_attn.normal(size=(2, 4, 6)))
+    key_mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=float)
 
     def f():
         h = pt.matmul(x, p.w)
@@ -68,8 +74,9 @@ def check_tensor_ops() -> GradCheckReport:
         rows = pt.gather_rows(p.gather_table, ids)
         packed = pt.move_rows(pt.glu(p.glu_input), valid_rows)
         moved = pt.move_rows(packed * packed, valid_rows, (2, 3))
+        att = pt.attention(p.attn_q, p.attn_k, p.attn_v, 2, key_mask)
         return (h * mix).sum() + _weighted(s, 31) + _weighted(r, 37) + _weighted(ce, 39) \
-            + _weighted(rows, 40) + _weighted(moved, 41)
+            + _weighted(rows, 40) + _weighted(moved, 41) + _weighted(att, 43)
 
     return grad_check(f, dict(p.named_parameters()))
 

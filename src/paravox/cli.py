@@ -129,10 +129,6 @@ def cmd_train(args) -> int:
     else:
         cfg = TrainConfig.from_mapping({}, overrides)
     utterances, header, vocabulary = _load_corpus(args.corpus)
-    problems = cfg.model_config(header.vocab_size, header.num_speakers, header.mel_bins,
-                                header.frame_rate).validate()
-    if problems:
-        raise ConfigError(problems)
     started = time.time()
     state = build_state(cfg, header.vocab_size, header.num_speakers, header.mel_bins,
                         header.frame_rate)
@@ -170,12 +166,14 @@ def _model_from_run_dir(ckpt_path: str) -> tuple[SynthesisModel, list[str], Trai
         raise FormatError(
             f"inventory lists {len(vocabulary)} symbols but dataset.txt says "
             f"{model_cfg.vocab_size}")
-    problems = model_cfg.validate()
-    if problems:
-        raise ConfigError([f"{config_path} with {dataset_path.name}: {p}" for p in problems])
-    model = SynthesisModel.build(model_cfg, cfg.seed)
     try:
-        model.load_state_arrays(read_arrays(ckpt))
+        model = SynthesisModel.build(model_cfg, cfg.seed)
+    except ConfigError as exc:
+        raise ConfigError([f"{config_path} with {dataset_path.name}: {p}"
+                           for p in exc.problems]) from None
+    arrays = read_arrays(ckpt)  # its errors name the file already
+    try:
+        model.load_state_arrays(arrays)
     except FormatError as exc:
         raise FormatError(f"{ckpt}: {exc}") from exc
     return model, vocabulary, cfg

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import FormatError, VocabularyError
 from .fileformats import CORPUS_MAGIC, VERSION, _Reader, _check_header, _u32
+from .model import size_cap_problems
 
 PHONEMES = ["aa", "ae", "ah", "ao", "aw", "ay", "eh", "er", "ey", "ih", "iy", "ow",
             "oy", "uh", "uw", "b", "d", "f", "g", "k", "m", "n", "s", "t"]
@@ -46,7 +47,7 @@ class CorpusSpec:
             problems.append("frame_rate must be positive")
         if not 0.0 <= self.zero_duration_prob <= 1.0:
             problems.append(f"zero_duration_prob must lie in [0, 1], got {self.zero_duration_prob}")
-        return problems
+        return problems + size_cap_problems(self)
 
     @property
     def vocabulary(self) -> list[str]:
@@ -263,7 +264,7 @@ def read_corpus(path) -> tuple[list[Utterance], CorpusHeader]:
         if durations.sum() != frames:
             raise FormatError(f"{r.label}: utterance {i} has durations summing to "
                               f"{durations.sum()} frames but {frames} mel frames")
-        mel = r.f64_array(frames * header.mel_bins, (frames, header.mel_bins))
+        mel = r.f64_array((frames, header.mel_bins), f"utterance {i}")
         out.append(Utterance(tokens, speaker, durations, mel))
     return out, header
 

@@ -1,7 +1,8 @@
 """Versioned binary containers and text dumps.
 
 All containers start with an 8-byte magic and a one-byte format version;
-readers reject unknown magics/versions and raise FormatError on truncation.
+readers reject unknown magics/versions and raise FormatError on truncation
+and on extents no array can hold.
 Integers are little-endian unsigned; floats are little-endian float64.
 
 Parameter checkpoint (magic ``PVOXCKPT``, version 1)
@@ -61,9 +62,13 @@ class _Reader:
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
 
-    def f64_array(self, count: int, shape) -> np.ndarray:
+    def f64_array(self, shape, what: str) -> np.ndarray:
+        count = math.prod(shape)  # Python ints: a numpy product of large extents wraps around
         raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8", count=count).reshape(shape).copy()
+        try:
+            return np.frombuffer(raw, dtype="<f8", count=count).reshape(shape).copy()
+        except ValueError:  # numpy refuses extents whose product overflows, even beside a 0
+            raise FormatError(f"{self.label}: {what} has impossible extents {shape}") from None
 
     def u32_array(self, count: int) -> np.ndarray:
         raw = self.take(4 * count)
@@ -114,8 +119,7 @@ def read_arrays(path) -> dict[str, np.ndarray]:
             raise FormatError(f"{r.label}: parameter name {raw_name!r} is not UTF-8") from exc
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
-        # Python ints: a numpy product of large extents wraps around
-        out[name] = r.f64_array(math.prod(shape), shape)
+        out[name] = r.f64_array(shape, f"record {name!r}")
     return out
 
 
@@ -134,7 +138,7 @@ def read_mel(path) -> np.ndarray:
     r = _Reader(Path(path).read_bytes(), f"mel container {path}")
     _check_header(r, MEL_MAGIC)
     frames, bins = r.u32(), r.u32()
-    return r.f64_array(frames * bins, (frames, bins))
+    return r.f64_array((frames, bins), "the mel")
 
 
 def write_mel_text(path, mel: np.ndarray) -> None:

@@ -24,7 +24,7 @@ from .decoder import KINDS as DECODER_KINDS
 from .decoder import SpectrogramDecoder, spectrogram_loss
 from .duration import DurationPrediction, DurationPredictor, duration_loss, finalize_durations
 from .encoder import EncoderOutput, SpeakerTable, TextEncoder, attach_conditioning
-from .errors import ShapeError, VocabularyError
+from .errors import ConfigError, VocabularyError
 from .module import Module, RandomSource
 from .tensor import Tensor
 from .upsample import FeatureCombiner, FrameLayout, frame_layout, positional_features, upsample
@@ -38,6 +38,15 @@ VARIANTS = ("novae", "global", "fine")
 MAX_VOCAB_SIZE = 65536
 MAX_SPEAKERS = 65536
 MAX_MEL_BINS = 1024
+
+
+def size_cap_problems(sizes) -> list[str]:
+    """The caps that ``sizes`` (a model config, corpus header or corpus spec)
+    exceeds, named by its vocab_size, num_speakers and mel_bins keys."""
+    return [f"{name} must be at most {cap}, got {getattr(sizes, name)}"
+            for name, cap in (("vocab_size", MAX_VOCAB_SIZE), ("num_speakers", MAX_SPEAKERS),
+                              ("mel_bins", MAX_MEL_BINS))
+            if getattr(sizes, name) > cap]
 
 
 @dataclass(kw_only=True)
@@ -110,10 +119,7 @@ class ModelConfig(ModelHyperparams):
         for name in counts + [h for h, _, _ in heads] + kernels:
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive, got {getattr(self, name)}")
-        for name, cap in (("vocab_size", MAX_VOCAB_SIZE), ("num_speakers", MAX_SPEAKERS),
-                          ("mel_bins", MAX_MEL_BINS)):
-            if getattr(self, name) > cap:
-                problems.append(f"{name} must be at most {cap}, got {getattr(self, name)}")
+        problems += size_cap_problems(self)
         for name, channels, width in heads:
             count = getattr(self, name)
             if count > 0 and width % count != 0:
@@ -173,7 +179,7 @@ class SynthesisModel(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         problems = cfg.validate()
         if problems:
-            raise ShapeError("; ".join(problems))
+            raise ConfigError(problems)
         self.cfg = cfg
         self.encoder = TextEncoder(cfg.vocab_size, cfg.d_model, cfg.enc_heads,
                                    cfg.enc_conv_blocks, cfg.enc_conv_kernel,

@@ -24,8 +24,9 @@ because the optimizer and gradient clipping update ``.grad`` in place.
 The hot network ops are fused: ``softmax``, ``glu``, ``layer_norm``,
 ``conv1d`` (im2col and one matmul), ``lightweight_conv`` (a sliding window and
 one contraction), ``lstm`` (one input GEMM over all steps, then the recurrence
-in numpy), ``dropout`` and ``bce_with_logits`` are each a single graph node
-with a hand-written numpy backward.
+in numpy), ``attention`` (every head's scores, mask, softmax and context),
+``dropout`` and ``bce_with_logits`` are each a single graph node with a
+hand-written numpy backward.
 
 Two run-level precisions exist: "standard" (float32) for training and "high"
 (float64) for finite-difference gradient checks.  The precision is a global
@@ -33,14 +34,15 @@ switch; it applies to tensors created after the switch.
 
 Multiply-add counting: each forward op adds its cost to a global counter so
 callers can compare decoder variants by exact operation counts instead of
-wall clock.  Contractions count their multiply-adds: ``matmul`` m*k*n per
-batch entry, ``conv1d`` k*d_in*d_out per output frame, ``lightweight_conv`` k
-per output element, and ``lstm`` B*N*4H*(d_in+H) for its input and recurrent
-projections.  Element-wise ops (``bce_with_logits`` among them), ``softmax``,
-``layer_norm`` and ``gather_rows`` count one per output element, so the
-upsampler's frame gather costs T*d per utterance; ``glu`` counts two, its
-sigmoid and its product.  ``sum_`` counts one per input element, and shape
-ops (reshape, transpose, concat, slicing, expand, ``move_rows``) nothing.
+wall clock.  Contractions count their multiply-adds: ``matmul`` k*n per row,
+``conv1d`` k*d_in*d_out per output frame, ``lightweight_conv`` k per output
+element, ``lstm`` B*N*4H*(d_in+H) for its input and recurrent projections,
+and ``attention`` B*h*Tq*Tk*(dk+dv) plus one per score for each of its scale,
+key mask and softmax.  Element-wise ops (``bce_with_logits`` among them),
+``softmax``, ``layer_norm`` and ``gather_rows`` count one per output element,
+so the upsampler's frame gather costs T*d per utterance; ``glu`` counts two,
+its sigmoid and its product.  ``sum_`` counts one per input element, and
+shape ops (reshape, concat, slicing, expand, ``move_rows``) nothing.
 """
 
 from __future__ import annotations
@@ -394,34 +396,20 @@ def tanh(a) -> Tensor:
 # -- contractions and reductions ----------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """``a`` [..., k] times a [k, n] weight, as 2-D GEMMs over a's rows."""
     a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    if b.ndim == 2:
-        # a shared [k, n] weight: forward and both gradients are 2-D GEMMs over a's rows
-        rows = a.data.reshape(-1, a.shape[-1])
-        out_data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs a rank >= 2 operand [..., k] and a [k, n] weight, "
+                         f"got {a.shape} and {b.shape}")
+    rows = a.data.reshape(-1, a.shape[-1])
+    out_data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
 
-        def bw(g):
-            g_rows = g.reshape(-1, g.shape[-1])
-            if not a.const:
-                a._accum((g_rows @ b.data.T).reshape(a.data.shape))
-            if not b.const:
-                b._accum(rows.T @ g_rows)
-    else:
-        try:
-            out_data = a.data @ b.data
-        except ValueError:
-            raise ShapeError(
-                f"matmul batch dimensions not broadcastable: {a.shape} vs {b.shape}") from None
-
-        def bw(g):
-            if not a.const:
-                a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            if not b.const:
-                b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+    def bw(g):
+        g_rows = g.reshape(-1, g.shape[-1])
+        if not a.const:
+            a._accum((g_rows @ b.data.T).reshape(a.data.shape))
+        if not b.const:
+            b._accum(rows.T @ g_rows)
 
     return _make(out_data, (a, b), bw, madds=out_data.size * a.shape[-1])
 
@@ -460,17 +448,6 @@ def reshape(a, shape) -> Tensor:
 
     def bw(g):
         a._accum(g.reshape(a.data.shape))
-
-    return _make(out_data, (a,), bw, madds=0)
-
-
-def transpose(a, axes) -> Tensor:
-    a = _lift(a)
-    out_data = a.data.transpose(axes)
-    inv = np.argsort(axes)
-
-    def bw(g):
-        a._accum(g.transpose(inv))
 
     return _make(out_data, (a,), bw, madds=0)
 
@@ -591,18 +568,67 @@ def stop_gradient(a) -> Tensor:
 
 # -- fused neural ops --------------------------------------------------------------
 
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Max-stabilized softmax of an array along ``axis``."""
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax with output ``p`` for output gradient ``g``."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis: int) -> Tensor:
     """Max-stabilized softmax; outputs form a probability simplex along ``axis``."""
     a = _lift(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
+    return _make(out_data, (a,), lambda g: a._accum(_softmax_grad(out_data, g, axis)))
+
+
+def attention(q, k, v, heads: int, key_mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention of ``q`` [B, Tq, h*dk] over ``k``
+    [B, Tk, h*dk] and ``v`` [B, Tk, h*dv], heads being contiguous channel
+    groups; returns [B, Tq, h*dv].  A [B, Tk] ``key_mask`` (1 = valid) adds
+    (mask - 1) * 1e9 to the scaled scores.  Seeded runs depend on the order:
+    scale, mask, softmax, and in backward the softmax before the scale."""
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or heads < 1 or q.shape[0] != k.shape[0]
+            or k.shape[:2] != v.shape[:2] or q.shape[2] != k.shape[2] or q.shape[2] % heads
+            or v.shape[2] % heads or (key_mask is not None and np.shape(key_mask) != k.shape[:2])):
+        raise ShapeError(f"attention ({heads} heads) needs q [B, Tq, h*dk], k [B, Tk, h*dk], "
+                         f"v [B, Tk, h*dv], mask [B, Tk]; got {q.shape}, {k.shape}, {v.shape}")
+    (b, tq, _), tk = q.shape, k.shape[1]
+    dk, dv = q.shape[2] // heads, v.shape[2] // heads
+
+    def split(z, t):  # [B, T, h*d] -> a [B, h, T, d] view
+        return z.reshape(b, t, heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(z, t):  # [B, h, T, d] -> [B, T, h*d]
+        return z.transpose(0, 2, 1, 3).reshape(b, t, -1)
+
+    qh, kh, vh = split(q.data, tq), split(k.data, tk), split(v.data, tk)
+    scale = dk ** -0.5
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    if key_mask is not None:
+        scores = scores + ((np.asarray(key_mask, dtype=active_dtype()) - 1.0) * 1e9)[:, None, None]
+    weights = _softmax(scores, -1)
+    out_data = merge(weights @ vh, tq)
 
     def bw(g):
-        a._accum(out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)))
+        g_ctx = split(g, tq)
+        g_scores = _softmax_grad(weights, g_ctx @ vh.transpose(0, 1, 3, 2), -1) * scale
+        if not v.const:
+            v._accum(merge(weights.transpose(0, 1, 3, 2) @ g_ctx, tk))
+        if not q.const:
+            q._accum(merge(g_scores @ kh, tq))
+        if not k.const:
+            k._accum(merge(g_scores.transpose(0, 1, 3, 2) @ qh, tk))
 
-    return _make(out_data, (a,), bw)
+    per_score = dk + dv + 2 + (key_mask is not None)  # the scale, the mask, the softmax
+    return _make(out_data, (q, k, v), bw, madds=b * heads * tq * tk * per_score)
 
 
 def glu(x) -> Tensor:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as pt
-from .blocks import (LConvBlock, LayerNorm, apply_mask, attention_weights, conv1d,
-                     repeat_over_positions)
+from .blocks import LConvBlock, LayerNorm, apply_mask, conv1d, repeat_over_positions
 from .errors import ShapeError
 from .module import Linear, Module, ModuleList, glorot
 from .tensor import Parameter, Tensor
@@ -141,7 +140,7 @@ class FinePosterior(Module):
         for block in self.blocks:
             x = block(x, frame_mask, rng)
         q = self.q_proj(self.query_norm(enc.phonemes))
-        ctx = pt.matmul(attention_weights(q, self.k_proj(x), frame_mask), x)
+        ctx = pt.attention(q, self.k_proj(x), x, 1, frame_mask)
         mean = apply_mask(self.mean_proj(ctx), enc.token_mask)
         logvar = apply_mask(self.logvar_proj(ctx), enc.token_mask)
         return LatentPosterior(mean, logvar)

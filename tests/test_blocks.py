@@ -132,19 +132,24 @@ def test_lconv_block_preserves_shape(shape, heads):
 
 # -- attention and the transformer block ---------------------------------------------
 
-# (query shape, key shape): batched single-head, and batched multi-head as
-# MultiHeadSelfAttention splits it
-ATTENTION_SHAPES = [((2, 4, 6), (2, 5, 6)), ((2, 3, 4, 6), (2, 3, 5, 6))]
+# (batch, queries, keys, heads, per-head width): one head, as FinePosterior
+# attends, and several, as MultiHeadSelfAttention does
+ATTENTION_SHAPES = [(2, 4, 5, 1, 6), (2, 4, 5, 3, 2)]
+
+
+def attention_weights(q, k, heads, key_mask=None):
+    """[B, Tq, heads, Tk]: with identity values, pt.attention returns its weights."""
+    b, tk = k.shape[0], k.shape[1]
+    out = pt.attention(q, k, np.tile(np.eye(tk), (b, 1, heads)), heads, key_mask)
+    return out.data.reshape(b, q.shape[1], heads, tk)
 
 
 def test_attention_weights_single_key_gets_weight_one():
     rng = np.random.default_rng(2)
-    for q_shape, k_shape in ATTENTION_SHAPES:
-        q = Tensor(rng.normal(size=q_shape))
-        k = Tensor(rng.normal(size=k_shape[:-2] + (1, k_shape[-1])))
-        weights = blocks.attention_weights(q, k)
-        assert weights.shape == q_shape[:-1] + (1,)
-        assert np.array_equal(weights.data, np.ones(weights.shape))
+    for b, tq, _, heads, d in ATTENTION_SHAPES:
+        q = Tensor(rng.normal(size=(b, tq, heads * d)))
+        k = Tensor(rng.normal(size=(b, 1, heads * d)))
+        assert np.array_equal(attention_weights(q, k, heads), np.ones((b, tq, heads, 1)))
 
 
 def test_attention_single_position_uses_value_projection():
@@ -158,11 +163,10 @@ def test_attention_single_position_uses_value_projection():
 def test_attention_rows_sum_to_one_over_valid_keys():
     rng = np.random.default_rng(1)
     mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-    for q_shape, k_shape in ATTENTION_SHAPES:
-        q = Tensor(rng.normal(size=q_shape))
-        k = Tensor(rng.normal(size=k_shape))
-        weights = blocks.attention_weights(q, k, mask).data
-        assert weights.shape == q_shape[:-1] + (5,)
+    for b, tq, tk, heads, d in ATTENTION_SHAPES:
+        q = Tensor(rng.normal(size=(b, tq, heads * d)))
+        k = Tensor(rng.normal(size=(b, tk, heads * d)))
+        weights = attention_weights(q, k, heads, mask)
         assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
         assert np.array_equal(weights[0, ..., 3:], np.zeros(weights[0, ..., 3:].shape))
         assert np.all(weights[0, ..., :3] > 0.0) and np.all(weights[1] > 0.0)
@@ -205,9 +209,9 @@ def op_counts(out: Tensor) -> dict:
 
 @pytest.mark.parametrize("kind", ["lconv", "transformer"])
 def test_blocks_without_padding_add_no_pack_node_and_no_mask_multiply(kind):
-    # op nodes with mask None, with an all-ones mask (the transformer adds its
-    # key-mask add) and with padding (four move_rows)
-    expected = {"lconv": (14, 14, 18), "transformer": (29, 30, 34)}[kind]
+    # op nodes with mask None, with an all-ones mask and with padding (four
+    # move_rows); the transformer's attention is one node with or without a mask
+    expected = {"lconv": (14, 14, 18), "transformer": (17, 17, 21)}[kind]
     if kind == "lconv":
         blk = blocks.LConvBlock(8, 2, 3, np.random.default_rng(40))
     else:
@@ -216,10 +220,9 @@ def test_blocks_without_padding_add_no_pack_node_and_no_mask_multiply(kind):
     padded = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=float)
     counts = [op_counts(blk(x, mask)) for mask in (None, np.ones((2, 5)), padded)]
     assert tuple(sum(c.values()) for c in counts) == expected
-    scale_muls = 1 if kind == "transformer" else 0  # the attention's 1/sqrt(d) only
     for c in counts[:2]:
-        assert "move_rows" not in c and c.get("mul", 0) == scale_muls
-    assert counts[2]["move_rows"] == 4 and counts[2].get("mul", 0) == scale_muls
+        assert "move_rows" not in c and "mul" not in c
+    assert counts[2]["move_rows"] == 4 and "mul" not in counts[2]
 
 
 # -- cross-block invariants -------------------------------------------------------------

@@ -13,7 +13,7 @@ from paravox.fileformats import read_arrays, read_mel, write_arrays
 from paravox.model import MAX_MEL_BINS, MAX_SPEAKERS
 from paravox.training import METRIC_COLUMNS, TrainConfig, read_settings
 
-from conftest import TINY_TRAIN_KW
+from conftest import TINY_TRAIN_KW, ZERO_EXTENT_CKPT
 
 
 def write_tiny_corpus_spec(path: Path, seed=3):
@@ -99,6 +99,17 @@ def test_gen_spec_problems_listed_all_at_once(tmp_path, capsys, text, named):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert all(name in err for name in named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, cap", [("num_speakers", MAX_SPEAKERS), ("mel_bins", MAX_MEL_BINS)])
+def test_gen_spec_beyond_a_size_cap_exits_1(tmp_path, capsys, key, cap):
+    spec = tmp_path / "big.spec"
+    spec.write_text(f"{key} = {cap + 1}\n")
+    out = tmp_path / "o"
+    rc = main(["gen", "--spec", str(spec), "--count", "2", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert f"{key} must be at most {cap}, got {cap + 1}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -247,6 +258,28 @@ def test_rejected_resume_state_leaves_no_run_directory(tmp_path, novae_run, caps
     assert not out.exists()
     assert main(args + [str(run / "state.ckpt")]) == EXIT_OK
     assert (out / "state.ckpt").exists()
+
+
+def test_checkpoint_of_impossible_extents_exits_2(tmp_path, novae_run, capsys):
+    corpus, run = novae_run
+    run = shutil.copytree(run, tmp_path / "run")
+    (run / "model.ckpt").write_bytes(ZERO_EXTENT_CKPT)
+    capsys.readouterr()
+    rc = main(["synth", "--ckpt", str(run / "model.ckpt"), "--text", "aa b",
+               "--speaker", "0", "--out", str(tmp_path / "x.mel")])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert str(run / "model.ckpt") in err and "record 'w'" in err
+    assert not (tmp_path / "x.mel").exists()
+
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=4)
+    out = tmp_path / "again"
+    rc = main(["train", "--config", str(cfg), "--corpus", str(corpus), "--variant", "novae",
+               "--out", str(out), "--resume", str(run / "model.ckpt")])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert str(run / "model.ckpt") in err and "record 'w'" in err
+    assert not out.exists()
 
 
 def test_train_resume_from_model_checkpoint_is_runtime_error(tmp_path, corpus_dir, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from paravox import corpus
 from paravox.errors import FormatError, VocabularyError
+from paravox.model import MAX_MEL_BINS, MAX_SPEAKERS
 
 
 def small_spec(**kw):
@@ -93,6 +94,12 @@ def test_word_boundary_silences_present():
 def test_count_validation():
     with pytest.raises(ValueError):
         corpus.generate(small_spec(), 0)
+
+
+@pytest.mark.parametrize("key, cap", [("num_speakers", MAX_SPEAKERS), ("mel_bins", MAX_MEL_BINS)])
+def test_spec_sizes_are_capped_like_the_model(key, cap):
+    assert not small_spec(**{key: cap}).validate()
+    assert small_spec(**{key: cap + 1}).validate() == [f"{key} must be at most {cap}, got {cap + 1}"]
 
 
 def test_symbols_round_trip():

@@ -1,8 +1,17 @@
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from paravox import corpus
 from paravox import fileformats as ff
 from paravox.errors import FormatError
+
+from conftest import ZERO_EXTENT_CKPT
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -85,13 +94,72 @@ def ckpt_record(name: bytes, extents) -> bytes:
             + b"".join(e.to_bytes(4, "little") for e in extents))
 
 
-@pytest.mark.parametrize("record", [
-    ckpt_record(b"\xff\xfe", (1,)) + bytes(8),
-    ckpt_record(b"w", (65536,) * 4) + bytes(8),     # 2**64 values: wraps to 0 in int64
-], ids=["name-not-utf8", "extents-overflow"])
-def test_checkpoint_bad_record_is_format_error(tmp_path, record):
+@pytest.mark.parametrize("record, named", [
+    (ckpt_record(b"\xff\xfe", (1,)) + bytes(8), "not UTF-8"),
+    (ckpt_record(b"w", (65536,) * 4) + bytes(8), "truncated"),  # 2**64 values: wraps to 0 in int64
+    (ZERO_EXTENT_CKPT[9:], "record 'w'"),  # no values, but a shape numpy refuses
+], ids=["name-not-utf8", "extents-overflow", "zero-extent-too-big"])
+def test_checkpoint_bad_record_is_format_error(tmp_path, record, named):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"PVOXCKPT" + bytes([1]) + record)
     with pytest.raises(FormatError) as exc:
         ff.read_arrays(path)
-    assert str(path) in str(exc.value)
+    assert str(path) in str(exc.value) and named in str(exc.value)
+
+
+# -- a seeded fuzz of the container readers -------------------------------------------
+
+READERS = {"checkpoint": ff.read_arrays, "mel": ff.read_mel, "corpus": corpus.read_corpus}
+
+
+@functools.cache
+def valid_containers() -> dict[str, bytes]:
+    """A small valid file of each container, as bytes."""
+    rng = np.random.default_rng(0)
+    spec = corpus.CorpusSpec(num_speakers=2, min_tokens=2, max_tokens=3, mel_bins=8, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ff.write_arrays(root / "checkpoint", {"w": rng.normal(size=(2, 3)),
+                                              "b": rng.normal(size=3), "meta/step": np.array(4.0)})
+        ff.write_mel(root / "mel", rng.random((3, 4)))
+        corpus.write_corpus(root / "corpus", corpus.generate(spec, 2), spec)
+        return {name: (root / name).read_bytes() for name in READERS}
+
+
+@st.composite
+def corrupt_containers(draw):
+    """(reader, bytes): a valid container cut short, bit-flipped, or with a
+    u32 (a count or an extent) written over it, at one to three places; most
+    places fall in the first 64 bytes, where the headers are."""
+    reader = draw(st.sampled_from(sorted(READERS)))
+    buf = bytearray(valid_containers()[reader])
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, 63) | st.integers(0, 2 ** 16)) % max(len(buf), 1)
+        kind = draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+        if kind == "truncate":
+            del buf[at:]
+        elif kind == "flip" and buf:
+            buf[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "overwrite":
+            value = draw(st.sampled_from([0, 1, 2 ** 31 - 1, 2 ** 32 - 1])
+                         | st.integers(0, 2 ** 32 - 1))
+            buf[at:at + 4] = value.to_bytes(4, "little")
+    return reader, bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=corrupt_containers())
+@example(case=("checkpoint", ZERO_EXTENT_CKPT))
+def test_corrupt_containers_raise_only_format_error(fuzz_dir, case):
+    reader, data = case
+    path = fuzz_dir / reader
+    path.write_bytes(data)
+    try:
+        READERS[reader](path)
+    except FormatError:
+        pass

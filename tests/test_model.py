@@ -5,7 +5,7 @@ import pytest
 
 import paravox.tensor as pt
 from paravox.decoder import spectrogram_loss
-from paravox.errors import FormatError, ShapeError, VocabularyError
+from paravox.errors import ConfigError, FormatError, ShapeError, VocabularyError
 from paravox.fileformats import read_arrays, write_arrays
 from paravox.model import ModelConfig, SynthesisModel, make_batch
 from paravox.training import (NesterovMomentum, TrainState, load_state, save_state,
@@ -54,7 +54,7 @@ def test_config_validation_names_config_keys(tiny_spec, changes, expected):
     kw.update(changes)
     problems = ModelConfig(**kw).validate()
     assert any(expected in p for p in problems), problems
-    with pytest.raises(ShapeError, match=re.escape(expected)):
+    with pytest.raises(ConfigError, match=re.escape(expected)):
         SynthesisModel.build(ModelConfig(**kw), 0)
 
 

@@ -71,10 +71,10 @@ def test_binary_ops_reject_incompatible_shapes(op):
     assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
 
 
-def test_matmul_batch_mismatch_rejected():
+def test_matmul_rejects_a_right_operand_that_is_not_a_weight():
     with pytest.raises(ShapeError) as exc:
-        pt.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
-    assert "(2, 3, 4)" in str(exc.value) and "(3, 4, 5)" in str(exc.value)
+        pt.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
+    assert "(2, 3, 4)" in str(exc.value) and "(2, 4, 5)" in str(exc.value)
 
 
 def test_matmul_identity():
@@ -246,17 +246,6 @@ def test_registered_ops_match_finite_differences(seed):
 
 def test_shape_ops_gradients():
     rng = np.random.default_rng(7)
-    x = Parameter(rng.normal(size=(2, 3, 4)))
-    w = rng.normal(size=(2, 4, 3))
-
-    def build(t):
-        return pt.transpose(t, (0, 2, 1))
-
-    out = (build(x) * Tensor(w)).sum()
-    backward(out)
-    numeric = numeric_grad(lambda: float((x.data.transpose(0, 2, 1) * w).sum()), x.data)
-    assert np.allclose(x.grad, numeric, atol=1e-8)
-
     x2 = Parameter(rng.normal(size=(6,)))
     out2 = pt.reshape(x2, (2, 3))[0, 1:].sum()
     backward(out2)
@@ -340,7 +329,7 @@ def test_precision_switch():
 def test_madd_counter_matmul():
     pt.reset_madds()
     with pt.no_grad():
-        pt.matmul(Tensor(np.ones((3, 4, 5))), Tensor(np.ones((3, 5, 6))))
+        pt.matmul(Tensor(np.ones((3, 4, 5))), Tensor(np.ones((5, 6))))
     assert pt.madds() == 3 * 4 * 5 * 6
 
 
@@ -425,11 +414,12 @@ def _uniform(rng, *shape):
 
 MULTI_PARENT_OPS = {
     "add": (pt.add, [(2, 3), (3,)]),
+    "attention": (lambda q, k, v: pt.attention(q, k, v, 2, np.array([[1, 1, 0], [1, 1, 1]])),
+                  [(2, 4, 4), (2, 3, 4), (2, 3, 6)]),
     "sub": (pt.sub, [(2, 3), (2, 3)]),
     "mul": (pt.mul, [(2, 3), (2, 1)]),
     "div": (pt.div, [(2, 3), (2, 3)]),
     "matmul": (pt.matmul, [(2, 3, 4), (4, 5)]),
-    "batched_matmul": (pt.matmul, [(2, 3, 4), (2, 4, 5)]),
     "concat": (lambda a, b: pt.concat([a, b], axis=1), [(2, 3), (2, 2)]),
     "conv1d": (lambda x, w, b: pt.conv1d(x, w, b, stride=2), [(2, 5, 3), (3, 3, 4), (4,)]),
     "layer_norm": (pt.layer_norm, [(2, 3, 4), (4,), (4,)]),
@@ -550,6 +540,22 @@ def reference_layer_norm(x, gain, bias, eps=1e-6):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def reference_attention(q, k, v, heads, key_mask=None):
+    b, tq, _ = q.shape
+    dk, dv = q.shape[2] // heads, v.shape[2] // heads
+    out = np.zeros((b, tq, heads * dv))
+    for i in range(b):
+        for h in range(heads):
+            qh, kh = q[i, :, h * dk:(h + 1) * dk], k[i, :, h * dk:(h + 1) * dk]
+            scores = qh @ kh.T / math.sqrt(dk)
+            if key_mask is not None:
+                scores = np.where(key_mask[i] > 0, scores, -np.inf)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights = e / e.sum(axis=1, keepdims=True)
+            out[i, :, h * dv:(h + 1) * dv] = weights @ v[i, :, h * dv:(h + 1) * dv]
+    return out
 
 
 def check_fused(op, reference, inputs, seed):
@@ -712,3 +718,35 @@ def test_dropout_is_one_node_drawing_in_the_active_dtype(mode):
         g = np.random.default_rng(7).normal(size=(3, 5, 4))
         backward((y * Tensor(g)).sum())
         assert np.array_equal(x.grad, g.astype(dtype) * keep)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_matches_per_head_loop(heads, masked):
+    rng = np.random.default_rng(heads + 2 * masked)
+    b, tq, tk, dk, dv = 2, 3, 4, 3, 2  # dk != dv: values need not be as wide as keys
+    q, k = rng.normal(size=(b, tq, heads * dk)), rng.normal(size=(b, tk, heads * dk))
+    v = rng.normal(size=(b, tk, heads * dv))
+    mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=float) if masked else None
+    check_fused(lambda *qkv: pt.attention(*qkv, heads, mask),
+                lambda *qkv: reference_attention(*qkv, heads, mask), [q, k, v], seed=8)
+    pt.reset_madds()
+    with pt.no_grad():
+        pt.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask)
+    # both contractions, then the scale, the mask add and the softmax per score
+    assert pt.madds() == b * heads * tq * tk * (dk + dv + 2 + masked)
+
+
+@pytest.mark.parametrize("shapes, heads, mask", [
+    ([(2, 3), (2, 3), (2, 3)], 1, None),
+    ([(2, 3, 4), (2, 5, 4), (2, 5, 6)], 3, None),
+    ([(2, 3, 4), (2, 5, 4), (2, 5, 6)], 0, None),
+    ([(2, 3, 4), (2, 5, 6), (2, 5, 6)], 2, None),
+    ([(2, 3, 4), (2, 5, 4), (2, 4, 6)], 2, None),
+    ([(2, 3, 4), (1, 5, 4), (1, 5, 6)], 2, None),
+    ([(2, 3, 4), (2, 5, 4), (2, 5, 6)], 2, np.ones((2, 4))),
+], ids=["rank", "heads-do-not-divide", "zero-heads", "q-k-widths", "k-v-lengths", "batch",
+        "mask"])
+def test_attention_rejects_misfit_shapes(shapes, heads, mask):
+    with pytest.raises(ShapeError):
+        pt.attention(*(Tensor(np.ones(shape)) for shape in shapes), heads, mask)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import paravox.tensor as pt
-from paravox import blocks, vae
+from paravox import vae
 from paravox.encoder import EncoderOutput
 from paravox.errors import ShapeError
 from paravox.tensor import Tensor
@@ -158,12 +158,12 @@ def fine_inputs(b=1, n=3, mel_bins=6, d_model=8, spk=4, seed=1, frames=None):
 
 def test_fine_posterior_attention_rows_sum_to_one():
     # tokens [B, N, d] attend over frames [B, T, d] under the frame mask, as in
-    # FinePosterior
+    # FinePosterior; with identity values the output is the weights
     rng = np.random.default_rng(0)
     feats = positional_features(frame_layout(np.array([[3, 2, 4], [1, 2, 0]])), 8)
     q = Tensor(rng.normal(size=(2, 3, 8)))
     k = Tensor(rng.normal(size=(2, 9, 8)))
-    weights = blocks.attention_weights(q, k, feats.frame_mask).data
+    weights = pt.attention(q, k, np.tile(np.eye(9), (2, 1, 1)), 1, feats.frame_mask).data
     assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
     assert np.array_equal(weights[1, :, 3:], np.zeros((3, 6)))
 
@@ -174,7 +174,7 @@ def test_fine_posterior_single_token_pools_all_frames():
     mel, feats, spk_emb, enc = fine_inputs(n=1, frames=frames)
     q = Tensor(np.random.default_rng(0).normal(size=(1, 1, 8)))
     k = Tensor(np.random.default_rng(1).normal(size=(1, 5, 8)))
-    weights = blocks.attention_weights(q, k, feats.frame_mask)
+    weights = pt.attention(q, k, np.eye(5)[None], 1, feats.frame_mask)  # values: the weights
     assert weights.shape == (1, 1, 5)
     assert weights.data.sum() == pytest.approx(1.0)
     assert np.all(weights.data > 0.0)
