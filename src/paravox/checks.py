@@ -139,7 +139,7 @@ def check_vae() -> GradCheckReport:
         z_f = post_f.sample(np.random.default_rng(42))
         _, prior_loss = prior.teacher_forced(enc, spk, teacher0)
         kl_g = vae.kl_divergence(post_g, prior_mean).sum()
-        kl_f = vae.kl_divergence(post_f, Tensor(np.zeros(4)), enc.token_mask).sum()
+        kl_f = vae.kl_divergence(post_f, Tensor(np.zeros(4))).sum()
         out = _weighted(proj_g(z_g), 12) + _weighted(proj_f(z_f, spk, enc), 13)
         return out + kl_g + kl_f + prior_loss
 

@@ -23,10 +23,14 @@ GATE_THRESHOLD = 0.99
 
 @dataclass
 class DurationPrediction:
-    p_z: Tensor      # [B, N] gate probability in (0, 1)
-    logits: Tensor   # [B, N] pre-sigmoid gate logits (kept for a stable loss)
+    logits: Tensor   # [B, N] pre-sigmoid gate logits (the loss reads these)
     seconds: Tensor  # [B, N] softplus output, > 0
     hidden: Tensor   # [B, N, d] last block activation, consumed by the upsampler
+
+    @property
+    def p_z(self) -> Tensor:
+        """[B, N] gate probability in (0, 1); built when read, which training never does."""
+        return pt.sigmoid(self.logits)
 
 
 class DurationPredictor(Module):
@@ -44,7 +48,7 @@ class DurationPredictor(Module):
         b, n, _ = x.shape
         logits = pt.reshape(self.gate_proj(x), (b, n))
         seconds = pt.softplus(pt.reshape(self.seconds_proj(x), (b, n)))
-        return DurationPrediction(pt.sigmoid(logits), logits, seconds, x)
+        return DurationPrediction(logits, seconds, x)
 
 
 def finalize_durations(p_z: np.ndarray, seconds: np.ndarray, frame_rate: float) -> np.ndarray:

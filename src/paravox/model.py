@@ -38,15 +38,32 @@ VARIANTS = ("novae", "global", "fine")
 MAX_VOCAB_SIZE = 65536
 MAX_SPEAKERS = 65536
 MAX_MEL_BINS = 1024
+# The largest model: far beyond any desk-scale config, and small enough that a
+# typo such as d_model = 100000 is a config error, not an allocation failure.
+MAX_WIDTH = 2048
+MAX_BLOCKS = 64
+MAX_HEADS = 64
+MAX_KERNEL = 65
+
+SIZE_CAPS = {
+    "vocab_size": MAX_VOCAB_SIZE, "num_speakers": MAX_SPEAKERS, "mel_bins": MAX_MEL_BINS,
+    **dict.fromkeys(("d_model", "speaker_dim", "latent_dim", "latent_proj_dim", "fine_width",
+                     "prior_hidden"), MAX_WIDTH),
+    **dict.fromkeys(("enc_conv_blocks", "enc_transformer_blocks", "dur_blocks", "dec_blocks",
+                     "post_pre_blocks", "post_strided_blocks", "fine_blocks"), MAX_BLOCKS),
+    **dict.fromkeys(("enc_heads", "dur_heads", "dec_heads", "post_heads", "fine_heads"),
+                    MAX_HEADS),
+    **dict.fromkeys(("enc_conv_kernel", "dur_kernel", "dec_kernel", "post_kernel",
+                     "fine_kernel"), MAX_KERNEL),
+}
 
 
 def size_cap_problems(sizes) -> list[str]:
     """The caps that ``sizes`` (a model config, corpus header or corpus spec)
-    exceeds, named by its vocab_size, num_speakers and mel_bins keys."""
+    exceeds, named by its keys; a corpus has only the first three."""
     return [f"{name} must be at most {cap}, got {getattr(sizes, name)}"
-            for name, cap in (("vocab_size", MAX_VOCAB_SIZE), ("num_speakers", MAX_SPEAKERS),
-                              ("mel_bins", MAX_MEL_BINS))
-            if getattr(sizes, name) > cap]
+            for name, cap in SIZE_CAPS.items()
+            if hasattr(sizes, name) and getattr(sizes, name) > cap]
 
 
 @dataclass(kw_only=True)
@@ -228,7 +245,7 @@ class SynthesisModel(Module):
             return self.latent_proj(z), kl, None, post
         post = self.posterior(mel, positional_features(layout, cfg.d_model), spk, enc, dropout_rng)
         z = post.mean if sample_rng is None else post.sample(sample_rng)
-        kl = kl_divergence(post, np.zeros(cfg.latent_dim), token_mask=batch.token_mask)
+        kl = kl_divergence(post, np.zeros(cfg.latent_dim))
         teacher = post.mean if prior_teacher is None else prior_teacher
         _, prior_loss = self.prior_lstm.teacher_forced(enc, spk, teacher)
         return self.latent_proj(z, spk, enc), kl, prior_loss, post

@@ -9,11 +9,11 @@ held).  Only leaves (Parameters and input tensors) keep ``.grad``, and a swept
 graph cannot be swept again.
 
 Constants carry no gradient.  A raw numpy array or scalar passed to an op is
-lifted to a constant (so is the result of ``constant`` and ``stop_gradient``);
-closures skip constant parents, and an op whose parents are all constants
-returns a constant with no parents and no closure.  Its madds are counted all
-the same.  A ``Tensor(x)`` built by the caller is not a constant: it is a
-differentiable leaf and receives ``.grad``.
+lifted to a constant, as is the result of ``constant``; closures skip
+constant parents, and an op whose parents are all constants returns a
+constant with no parents and no closure.  Its madds are counted all the same.
+A ``Tensor(x)`` built by the caller is not a constant: it is a differentiable
+leaf and receives ``.grad``.
 
 Gradient ownership: a node with parents keeps the first gradient array it
 receives without copying it.  That array may be shared with other nodes, so it
@@ -26,7 +26,9 @@ The hot network ops are fused: ``softmax``, ``glu``, ``layer_norm``,
 one contraction), ``lstm`` (one input GEMM over all steps, then the recurrence
 in numpy), ``attention`` (every head's scores, mask, softmax and context),
 ``dropout`` and ``bce_with_logits`` are each a single graph node with a
-hand-written numpy backward.
+hand-written numpy backward.  A contraction raises ShapeError naming its
+operands' shapes when they do not fit.  The module holds only the ops that
+some command runs.
 
 Two run-level precisions exist: "standard" (float32) for training and "high"
 (float64) for finite-difference gradient checks.  The precision is a global
@@ -170,14 +172,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -185,8 +181,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
+    def mean(self):
+        return mean(self)
 
 
 class Parameter(Tensor):
@@ -307,21 +303,6 @@ def div(a, b) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
-def neg(a) -> Tensor:
-    a = _lift(a)
-    return _make(-a.data, (a,), lambda g: a._accum(-g))
-
-
-def power(a, p: float) -> Tensor:
-    a = _lift(a)
-    out_data = a.data ** p
-
-    def bw(g):
-        a._accum(g * p * a.data ** (p - 1))
-
-    return _make(out_data, (a,), bw)
-
-
 def exp(a) -> Tensor:
     a = _lift(a)
     out_data = np.exp(a.data)
@@ -429,15 +410,10 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     return _make(out_data, (a,), bw, madds=a.size)
 
 
-def mean(a, axis=None, keepdims=False) -> Tensor:
+def mean(a) -> Tensor:
+    """The mean over every element, as a sum scaled by 1 / size."""
     a = _lift(a)
-    if axis is None:
-        n = a.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        n = a.shape[axis]
-    return sum_(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return sum_(a) * (1.0 / a.size)
 
 
 # -- shape manipulation --------------------------------------------------------
@@ -560,10 +536,6 @@ def move_rows(x, ids: np.ndarray, padded=None) -> Tensor:
             x._accum(g.reshape(-1, d)[ids])
 
     return _make(out_data, (x,), bw, madds=0)
-
-
-def stop_gradient(a) -> Tensor:
-    return constant(a)
 
 
 # -- fused neural ops --------------------------------------------------------------
@@ -727,6 +699,11 @@ def conv1d(x, weight, bias, stride: int = 1) -> Tensor:
     padded input, then one matmul against the weight viewed as [k*d_in, d_out].
     """
     x, weight, bias = _lift(x), _lift(weight), _lift(bias)
+    if (x.ndim != 3 or weight.ndim != 3 or weight.shape[1] != x.shape[-1]
+            or weight.shape[0] % 2 != 1 or bias.shape != weight.shape[2:] or stride < 1):
+        raise ShapeError(f"conv1d needs x [B, T, d_in], an odd-width weight [k, d_in, d_out], "
+                         f"bias [d_out] and stride >= 1; got {x.shape}, {weight.shape}, "
+                         f"{bias.shape} and stride {stride}")
     b, t, d_in = x.shape
     k, _, d_out = weight.shape
     t_out = -(-t // stride)

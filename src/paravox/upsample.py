@@ -6,7 +6,8 @@ it is padding.  Upsampling repeats each token's vector for its frame count by
 a gather along that layout; three positional features (within-phoneme
 sinusoid, duration sinusoid, fractional progression) are blended by
 per-channel softmax weights and added to the upsampled stream, which keeps
-unit weight.  Upsampling and the features give zero rows at padding frames.
+unit weight.  Upsampling gives zero rows at padding frames; the features do
+not, because every reader packs or masks away the padded frames first.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ class FrameLayout:
 
 @dataclass
 class PositionalFeatures:
+    """The features of every frame.  A padded frame reads as offset 0 in its
+    row's first token: its rows are not zero, and no reader uses them."""
     within: Tensor      # [B, T, d] sinusoid of frame index inside its phoneme
     duration: Tensor    # [B, T, d] sinusoid of the phoneme's frame count
     fraction: Tensor    # [B, T, 1] progression j/f in [0, 1)
@@ -82,15 +85,14 @@ def upsample(hidden: Tensor, layout: FrameLayout) -> Tensor:
 
 
 def positional_features(layout: FrameLayout, dim: int) -> PositionalFeatures:
-    """Per-frame positional features along a frame layout; zero at padding."""
-    valid = layout.mask
+    """Per-frame positional features along a frame layout; padded rows are not zeroed."""
     dur_per_frame = np.take_along_axis(layout.frames, np.maximum(layout.index_map, 0),
                                        axis=1).astype(float)
     offs = layout.offsets.astype(float)
-    within = sinusoidal_embedding(offs * valid, dim) * valid[:, :, None]
-    duration = sinusoidal_embedding(dur_per_frame * valid, dim) * valid[:, :, None]
-    frac = np.where(valid > 0, offs / np.maximum(dur_per_frame, 1.0), 0.0)
-    return PositionalFeatures(within, duration, pt.constant(frac[:, :, None]), valid)
+    frac = offs / np.maximum(dur_per_frame, 1.0)
+    return PositionalFeatures(sinusoidal_embedding(offs, dim),
+                              sinusoidal_embedding(dur_per_frame, dim),
+                              pt.constant(frac[:, :, None]), layout.mask)
 
 
 class FeatureCombiner(Module):

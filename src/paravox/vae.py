@@ -30,21 +30,19 @@ class LatentPosterior:
         return self.mean + pt.exp(self.log_variance * 0.5) * eps
 
 
-def kl_divergence(post: LatentPosterior, prior_mean, token_mask=None) -> Tensor:
+def kl_divergence(post: LatentPosterior, prior_mean) -> Tensor:
     """Analytic KL(q || p) against a unit-variance diagonal Gaussian, per batch element.
 
-    Summed over latent dims; a [B, N, L] posterior is also summed over valid tokens.
+    Summed over latent dims; a [B, N, L] posterior is also summed over tokens.
+    ``FinePosterior`` zeroes a padded token's mean and log-variance, so against
+    the standard-normal prior a padded token adds exactly 0 and needs no mask.
     """
     if post.mean.shape != post.log_variance.shape:
         raise ShapeError(f"posterior mean {post.mean.shape} vs log-variance {post.log_variance.shape}")
     diff = post.mean - prior_mean
     per_dim = 0.5 * (pt.exp(post.log_variance) + diff * diff - 1.0 - post.log_variance)
     per_pos = per_dim.sum(axis=-1)
-    if per_pos.ndim == 1:
-        return per_pos
-    if token_mask is not None:
-        per_pos = per_pos * np.asarray(token_mask)
-    return per_pos.sum(axis=-1)
+    return per_pos if per_pos.ndim == 1 else per_pos.sum(axis=-1)
 
 
 class SpeakerPrior(Module):
@@ -141,6 +139,7 @@ class FinePosterior(Module):
             x = block(x, frame_mask, rng)
         q = self.q_proj(self.query_norm(enc.phonemes))
         ctx = pt.attention(q, self.k_proj(x), x, 1, frame_mask)
+        # a padded token becomes the standard-normal prior: it adds exactly 0 KL
         mean = apply_mask(self.mean_proj(ctx), enc.token_mask)
         logvar = apply_mask(self.logvar_proj(ctx), enc.token_mask)
         return LatentPosterior(mean, logvar)
@@ -173,7 +172,7 @@ class FinePriorLSTM(Module):
         """Returns (predicted means [B,N,L], summed squared-error loss over valid tokens)."""
         if teacher_means is None:
             raise ValueError("training the learned prior requires teacher latents (posterior means)")
-        teacher = pt.stop_gradient(teacher_means)
+        teacher = pt.constant(teacher_means)
         spk = repeat_over_positions(speaker_emb, enc.phonemes.shape[1])
         prev = np.pad(teacher.data[:, :-1], ((0, 0), (1, 0), (0, 0)))
         hidden = pt.lstm(pt.concat([spk, enc.phonemes, prev], axis=2), self.w_x, self.w_h, self.b)

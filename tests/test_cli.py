@@ -197,6 +197,17 @@ def test_train_model_shape_problems_listed_before_writing(tmp_path, corpus_dir, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("d_model", 100000), ("enc_transformer_blocks", 5000000)])
+def test_train_model_beyond_a_size_cap_exits_1_before_building(tmp_path, corpus_dir, capsys,
+                                                               key, value):
+    cfg = write_tiny_train_config(tmp_path / "run.cfg", **{key: value})
+    out = tmp_path / "r"
+    rc = main(["train", "--config", str(cfg), "--corpus", str(corpus_dir), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert f"{key} must be at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_unknown_variant_named_once_before_writing(tmp_path, corpus_dir, capsys):
     cfg = write_tiny_train_config(tmp_path / "run.cfg", variant="foo")
     out = tmp_path / "r"
@@ -507,7 +518,11 @@ def test_gradcheck_injected_fault_exits_nonzero(monkeypatch, capsys):
         def scaled(p):  # backward deliberately off by 1%
             return Tensor(p.data.copy(), (p,), lambda g: p._accum(1.01 * g))
 
-        return grad_check(lambda: (pt.matmul(x, scaled(w)) ** 2.0).sum(), {"w": w})
+        def loss():
+            y = pt.matmul(x, scaled(w))
+            return (y * y).sum()
+
+        return grad_check(loss, {"w": w})
 
     monkeypatch.setitem(checks.REGISTRY, "upsampler", broken_check)
     rc = main(["gradcheck", "--module", "upsampler"])

@@ -145,7 +145,7 @@ def test_perfect_prediction_l1_zero_and_ce_floor():
     frames = np.array([[2, 0, 3]])
     logits = Tensor(np.array([[30.0, -30.0, 30.0]]))
     pred = duration.DurationPrediction(
-        pt.sigmoid(logits), logits, Tensor(frames / 80.0), hidden=Tensor(np.zeros((1, 3, 2))))
+        logits, Tensor(frames / 80.0), hidden=Tensor(np.zeros((1, 3, 2))))
     ce, l1 = duration.duration_loss(pred, frames, 80.0)
     assert l1.data == pytest.approx(0.0)
     assert ce.data < 1e-8
@@ -155,7 +155,7 @@ def test_half_probability_ce_is_ln2_per_token():
     frames = np.array([[1, 0, 4, 2]])
     logits = Tensor(np.zeros((1, 4)))
     pred = duration.DurationPrediction(
-        pt.sigmoid(logits), logits, Tensor(frames / 80.0), hidden=Tensor(np.zeros((1, 4, 2))))
+        logits, Tensor(frames / 80.0), hidden=Tensor(np.zeros((1, 4, 2))))
     ce, _ = duration.duration_loss(pred, frames, 80.0)
     assert ce.data == pytest.approx(4 * math.log(2.0))
 
@@ -169,7 +169,7 @@ def test_l1_translation_detection():
 
     def l1_of(seconds):
         pred = duration.DurationPrediction(
-            pt.sigmoid(logits), logits, Tensor(seconds), hidden=Tensor(np.zeros((1, 3, 2))))
+            logits, Tensor(seconds), hidden=Tensor(np.zeros((1, 3, 2))))
         _, l1 = duration.duration_loss(pred, frames, 80.0)
         return float(l1.data)
 
@@ -180,7 +180,7 @@ def test_shape_mismatch_rejected():
     frames = np.array([[1, 2]])
     logits = Tensor(np.zeros((1, 3)))
     pred = duration.DurationPrediction(
-        pt.sigmoid(logits), logits, Tensor(np.zeros((1, 3))), hidden=Tensor(np.zeros((1, 3, 2))))
+        logits, Tensor(np.zeros((1, 3))), hidden=Tensor(np.zeros((1, 3, 2))))
     with pytest.raises(ShapeError, match="prediction"):
         duration.duration_loss(pred, frames, 80.0)
 
@@ -188,6 +188,6 @@ def test_shape_mismatch_rejected():
 def test_negative_target_frames_rejected():
     logits = Tensor(np.zeros((1, 2)))
     pred = duration.DurationPrediction(
-        pt.sigmoid(logits), logits, Tensor(np.zeros((1, 2))), hidden=Tensor(np.zeros((1, 2, 2))))
+        logits, Tensor(np.zeros((1, 2))), hidden=Tensor(np.zeros((1, 2, 2))))
     with pytest.raises(ShapeError, match="non-negative"):
         duration.duration_loss(pred, np.array([[1, -2]]), 80.0)

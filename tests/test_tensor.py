@@ -1,6 +1,7 @@
 """Engine-level tests: forward values, backward correctness, broadcasting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,7 +228,6 @@ def test_registered_ops_match_finite_differences(seed):
         "exp": (lambda x, y: pt.exp(x), False),
         "abs": (lambda x, y: pt.abs_(x), False),
         "softmax": (lambda x, y: pt.softmax(x, axis=-1), False),
-        "power": (lambda x, y: pt.power(pt.add(pt.mul(x, x), 0.5), 1.5), False),
     }
     for name, (op, binary) in cases.items():
         x = Parameter(x0.copy())
@@ -287,7 +287,7 @@ def test_expand_gradient_sums():
 
 def test_stop_gradient_blocks():
     x = Parameter(np.array([3.0]))
-    out = (pt.stop_gradient(x) * x).sum()
+    out = (pt.constant(x) * x).sum()
     backward(out)
     assert x.grad[0] == pytest.approx(3.0)  # only the live branch contributes
 
@@ -405,7 +405,7 @@ def test_raw_arrays_are_constants_and_caller_tensors_are_leaves():
     folded = pt.mul(np.ones(3), pt.exp(np.zeros(3)))
     assert folded.const and folded._parents == () and folded._backward is None
     assert pt.madds() == 6  # the ops are counted although they build no graph
-    assert pt.stop_gradient(x).const
+    assert pt.constant(x).const
 
 
 def _uniform(rng, *shape):
@@ -453,7 +453,7 @@ def test_constant_parents_get_no_gradient(name):
 
 def reference_bce(logits, targets):
     """The composite bce_with_logits was built from before it was one node."""
-    return pt.add(pt.mul(targets, pt.softplus(pt.neg(logits))),
+    return pt.add(pt.mul(targets, pt.softplus(pt.mul(logits, -1.0))),
                   pt.mul(pt.sub(1.0, targets), pt.softplus(logits)))
 
 
@@ -594,6 +594,17 @@ def test_conv1d_matches_tap_loop(k, stride, t):
     bias = rng.normal(size=4)
     check_fused(lambda a, w, c: pt.conv1d(a, w, c, stride=stride),
                 lambda a, w, c: reference_conv1d(a, w, c, stride), [x, weight, bias], seed=2)
+
+
+@pytest.mark.parametrize("x_shape, w_shape, stride", [
+    ((2, 5, 3), (3, 4, 4), 1),  # the weight's d_in differs from the input's
+    ((2, 5, 3), (3, 3, 4), 0),
+    ((5, 3), (3, 3, 4), 1),
+    ((2, 5, 3), (2, 3, 4), 1),  # an even kernel has no centre tap
+], ids=["d_in", "stride-0", "rank-2", "even-kernel"])
+def test_conv1d_rejects_misfit_shapes(x_shape, w_shape, stride):
+    with pytest.raises(ShapeError, match=re.escape(f"{x_shape}, {w_shape}")):
+        pt.conv1d(np.ones(x_shape), np.ones(w_shape), np.zeros(w_shape[-1]), stride=stride)
 
 
 def test_layer_norm_matches_reference():

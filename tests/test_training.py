@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -238,6 +239,35 @@ def test_spec_loss_gradient_never_reaches_duration_heads(tiny_spec, tiny_corpus)
         p.grad is not None and np.any(p.grad != 0.0)
         for n, p in model.duration_predictor.named_parameters() if "blocks" in n)
     assert block_has_grad  # the upsampled hidden path must carry gradient
+
+
+@pytest.mark.parametrize("variant", ["novae", "global", "fine"])
+def test_training_step_builds_only_nodes_its_loss_reaches(tiny_spec, tiny_corpus, monkeypatch,
+                                                          variant):
+    # Only the iterative loss: the single loss reads the last decoder head, but
+    # the decoder still projects every block's head.
+    built, losses = [], []
+    make = pt._make
+
+    def recording_make(*args, **kwargs):
+        out = make(*args, **kwargs)
+        if not out.const:
+            built.append((out, sys._getframe(1).f_code.co_name))
+        return out
+
+    def recording_backward(loss):
+        losses.append(loss)
+        backward(loss)
+
+    monkeypatch.setattr(pt, "_make", recording_make)
+    monkeypatch.setattr(training, "backward", recording_backward)
+    model = build_tiny_model(tiny_spec, variant)
+    cfg = tiny_train_config(variant=variant, iterative_loss=True)
+    state = TrainState(model, NesterovMomentum(model.named_parameters(), cfg.momentum))
+    train_step(state, make_batch(tiny_corpus[:3]), cfg, np.random.default_rng(0))
+    reached = {id(node) for node in pt._topo_order(losses[0])}
+    assert built
+    assert [op for node, op in built if id(node) not in reached] == []
 
 
 def test_padding_leaves_total_loss_unchanged(tiny_spec, tiny_corpus):

@@ -62,13 +62,20 @@ def test_kl_nonnegative_property():
         assert kl.data[0] >= -1e-12
 
 
-def test_kl_fine_sums_valid_tokens_only():
-    post = make_posterior((2, 4, 8))
-    mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=float)
-    full = vae.kl_divergence(post, Tensor(np.zeros(8)), token_mask=np.ones((2, 4)))
-    partial = vae.kl_divergence(post, Tensor(np.zeros(8)), token_mask=mask)
-    assert partial.data[0] < full.data[0]
-    assert partial.data[1] == pytest.approx(full.data[1])
+def test_kl_fine_padded_tokens_add_exactly_zero():
+    # the fine posterior's padded tokens are the standard-normal prior itself,
+    # so the KL sums every token without a mask
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    mel, feats, spk_emb, _ = fine_inputs(b=2)
+    post = make_fine()(mel, feats, spk_emb, make_enc(2, 3, 8, seed=4, mask=mask))
+
+    def kl(tokens):
+        part = vae.LatentPosterior(post.mean[:, tokens], post.log_variance[:, tokens])
+        return vae.kl_divergence(part, np.zeros(4)).data
+
+    assert kl(slice(2, 3))[0] == 0.0
+    assert kl(slice(None))[0] == kl(slice(0, 2))[0]
+    assert kl(slice(2, 3))[1] > 0.0
 
 
 # -- reparameterized sampling ------------------------------------------------------
