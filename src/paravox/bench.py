@@ -19,6 +19,8 @@ from .decoder import SpectrogramDecoder
 
 BENCH_KINDS = ("lconv", "transformer", "ar-sim")
 HEADS = 8
+# The longest sequence a benchmark decodes: about 21 minutes at 80 frames/s.
+MAX_FRAMES = 100_000
 
 
 @dataclass

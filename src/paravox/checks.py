@@ -27,14 +27,14 @@ def _weighted(out: Tensor, seed: int) -> Tensor:
 
 
 def check_tensor_ops() -> GradCheckReport:
-    """Element-wise ops and every fused op: softmax, layer_norm, a lightweight
-    conv (odd width, one masked row), a strided conv1d, an lstm (B=2, N=4),
-    bce_with_logits, glu and a two-head attention (one masked key), plus a
-    row gather with negative (zero-row) ids and a pack then unpack of the
-    rows of a [2, 3] layout with two padded.  The convs' input gradients are
-    checked through ``w``, which feeds them; the lstm's input, the bce logits
-    and targets, the gather table, the glu input and the attention's queries,
-    keys and values are parameters of their own."""
+    """Element-wise ops and every fused op: a biased matmul, softmax,
+    layer_norm, a lightweight conv (odd width, one masked row), a strided
+    conv1d, an lstm (B=2, N=4), bce_with_logits, glu and a two-head attention
+    (one masked key), plus a row gather with negative (zero-row) ids and a
+    pack then unpack of the rows of a [2, 3] layout with two padded.  The
+    convs' input gradients are checked through ``w``, which feeds them; the
+    lstm's input, the bce logits and targets, the gather table, the glu input
+    and the attention's queries, keys and values are parameters of their own."""
     rng = np.random.default_rng(0)
     p = Module()  # the parameters, named by their attributes
     p.w = pt.Parameter(rng.normal(size=(6, 6)))
@@ -62,9 +62,11 @@ def check_tensor_ops() -> GradCheckReport:
     p.attn_k = pt.Parameter(rng_attn.normal(size=(2, 4, 4)))
     p.attn_v = pt.Parameter(rng_attn.normal(size=(2, 4, 6)))
     key_mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=float)
+    # zero, as a Linear's bias starts, so every other parameter's check keeps its bits
+    p.matmul_bias = pt.Parameter(np.zeros(6))
 
     def f():
-        h = pt.matmul(x, p.w)
+        h = pt.matmul(x, p.w, p.matmul_bias)
         h = pt.layer_norm(h, p.gain, p.bias)
         h = pt.softmax(h, axis=-1) + pt.sigmoid(h) + pt.softplus(h) + pt.tanh(h)
         c = pt.lightweight_conv(blocks.apply_mask(h, mask), pt.softmax(p.lconv_taps, axis=1))

@@ -15,13 +15,13 @@ import time
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .bench import BENCH_KINDS, HEADS, format_csv, run_benchmark
+from .bench import BENCH_KINDS, HEADS, MAX_FRAMES, format_csv, run_benchmark
 from .checks import REGISTRY, run_checks
 from .decoder import KINDS as DECODER_KINDS
 from .errors import (ConfigError, DegenerateSynthesisError, FormatError,
                      TrainingDiverged, VocabularyError)
 from .fileformats import read_arrays, write_mel, write_mel_text
-from .model import VARIANTS, SynthesisModel
+from .model import MAX_BLOCKS, MAX_KERNEL, MAX_WIDTH, VARIANTS, SynthesisModel
 from .training import (TrainConfig, build_state, evaluate, load_state, read_settings, train,
                        write_settings)
 
@@ -216,17 +216,18 @@ def cmd_bench(args) -> int:
     frames = args.frames.split(",")
     problems = [f"unknown decoder {kind!r}; choose from {','.join(BENCH_KINDS)}"
                 for kind in kinds if kind not in BENCH_KINDS]
-    if not all(f.strip().isdecimal() and int(f) > 0 for f in frames):
-        problems.append(f"--frames must be comma-separated positive integers, got {args.frames!r}")
+    if not all(f.strip().isdecimal() and 0 < int(f) <= MAX_FRAMES for f in frames):
+        problems.append(f"--frames must be comma-separated integers from 1 to {MAX_FRAMES}, "
+                        f"got {args.frames!r}")
     if args.repeats < 1:
         problems.append("--repeats must be >= 1")
-    if args.d_model < 1 or args.d_model % HEADS:
-        problems.append(f"--d-model must be a positive multiple of the {HEADS} heads, "
-                        f"got {args.d_model}")
-    if args.blocks < 1:
-        problems.append(f"--blocks must be at least 1, got {args.blocks}")
-    if args.kernel < 1 or args.kernel % 2 == 0:
-        problems.append(f"--kernel must be odd and at least 1, got {args.kernel}")
+    if not 1 <= args.d_model <= MAX_WIDTH or args.d_model % HEADS:
+        problems.append(f"--d-model must be a positive multiple of the {HEADS} heads and at "
+                        f"most {MAX_WIDTH}, got {args.d_model}")
+    if not 1 <= args.blocks <= MAX_BLOCKS:
+        problems.append(f"--blocks must be from 1 to {MAX_BLOCKS}, got {args.blocks}")
+    if not 1 <= args.kernel <= MAX_KERNEL or args.kernel % 2 == 0:
+        problems.append(f"--kernel must be odd and from 1 to {MAX_KERNEL}, got {args.kernel}")
     if problems:
         raise UsageError("; ".join(problems))
     frames = [int(f) for f in frames]

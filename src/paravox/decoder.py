@@ -3,7 +3,9 @@
 A stack of self-attention blocks (lightweight-conv or Transformer flavour);
 after every block an independent linear head projects the activation to mel
 bins.  The iterative loss sums the per-block L1 terms; the single loss keeps
-only the last head.  ``spectrogram_loss`` computes both.
+only the last head.  ``spectrogram_loss`` computes both.  Only the iterative
+loss reads the heads before the last; single-loss training, evaluation and
+synthesis project the last block's head alone.
 """
 
 from __future__ import annotations
@@ -33,11 +35,16 @@ class SpectrogramDecoder(Module):
                 TransformerBlock(d_model, heads, rng, dropout) for _ in range(blocks))
         self.projections = ModuleList(Linear(d_model, mel_bins, rng) for _ in range(blocks))
 
-    def __call__(self, x: Tensor, frame_mask=None, rng=None) -> list[Tensor]:
+    def __call__(self, x: Tensor, frame_mask=None, rng=None,
+                 every_head: bool = True) -> list[Tensor]:
+        """Mel predictions [B, T, K] of every block's head, or with ``every_head``
+        false a list of the last block's alone."""
         preds = []
-        for block, proj in zip(self.blocks, self.projections):
+        last = len(self.blocks) - 1
+        for i, (block, proj) in enumerate(zip(self.blocks, self.projections)):
             x = block(x, frame_mask, rng)
-            preds.append(proj(x))
+            if every_head or i == last:
+                preds.append(proj(x))
         return preds
 
 

@@ -43,13 +43,14 @@ class TextEncoder(Module):
             b, n = bad[0]
             raise VocabularyError(
                 f"phoneme id {ids[b, n]} at batch {b}, token {n} outside vocabulary of size {self.vocab_size}")
-        if token_mask is None:
-            token_mask = np.ones(ids.shape, dtype=float)
         # padding rows are never read: each conv block masks its input, and
-        # the first transformer block packs the valid rows
+        # the first transformer block packs the valid rows; without padding
+        # there is nothing for the conv blocks to mask
         x = pt.gather_rows(self.embedding, ids)
         for conv in self.convs:
             x = conv(x, token_mask, rng)
+        if token_mask is None:
+            token_mask = np.ones(ids.shape, dtype=float)
         positions = np.broadcast_to(np.arange(ids.shape[1], dtype=float), ids.shape)
         x = x + sinusoidal_embedding(positions, self.d_model)
         for block in self.transformers:

@@ -181,7 +181,7 @@ class ForwardOutputs:
     and prior terms are unnormalized sums.
     """
     spec_loss: Tensor
-    predictions: list              # per-block [B, T, K]
+    predictions: list              # [B, T, K] per block; under the single loss the last only
     dur_ce: Tensor
     dur_l1: Tensor
     kl_per_utterance: Optional[Tensor]   # [B] or None
@@ -252,16 +252,18 @@ class SynthesisModel(Module):
 
     # -- forward passes ----------------------------------------------------------
 
-    def decode(self, hidden: Tensor, layout: FrameLayout, rng=None) -> list[Tensor]:
+    def decode(self, hidden: Tensor, layout: FrameLayout, rng=None,
+               every_head: bool = True) -> list[Tensor]:
         """Token states and their frame layout -> per-block mel predictions [B, T, K].
 
         Upsamples ``hidden`` along ``layout``, adds the blended positional
         features and runs the decoder over the layout's mask, whose first block
         reads only the valid frames (also of a layout padded to a target mel's
-        length).  ``rng`` switches the decoder's dropout on.
+        length).  ``rng`` switches the decoder's dropout on.  Without
+        ``every_head`` only the last block's head is projected.
         """
         x = self.combiner(upsample(hidden, layout), positional_features(layout, self.cfg.d_cond))
-        return self.decoder(x, layout.mask, rng)
+        return self.decoder(x, layout.mask, rng, every_head)
 
     def forward_train(self, batch: Batch, dropout_rng=None, sample_rng=None, prior_teacher=None,
                       iterative: bool = True) -> ForwardOutputs:
@@ -283,8 +285,8 @@ class SynthesisModel(Module):
         cond = attach_conditioning(enc, spk, latent)
         dur_pred = self.duration_predictor(cond, batch.token_mask, dropout_rng)
         ce, l1 = duration_loss(dur_pred, batch.frames, cfg.frame_rate, batch.token_mask)
-        preds = self.decode(dur_pred.hidden, layout, dropout_rng)
-        spec_loss = spectrogram_loss(preds if iterative else preds[-1:], batch.mel, layout.mask)
+        preds = self.decode(dur_pred.hidden, layout, dropout_rng, every_head=iterative)
+        spec_loss = spectrogram_loss(preds, batch.mel, layout.mask)
         return ForwardOutputs(
             spec_loss=spec_loss, predictions=preds, dur_ce=ce, dur_l1=l1,
             kl_per_utterance=kl, prior_loss=prior_loss, duration_pred=dur_pred, layout=layout,
@@ -319,7 +321,7 @@ class SynthesisModel(Module):
         dur_pred = self.predict_durations_free(tokens, np.array([speaker]))
         frames = finalize_durations(dur_pred.p_z.data, dur_pred.seconds.data, cfg.frame_rate)
         with pt.no_grad():
-            preds = self.decode(dur_pred.hidden, frame_layout(frames))
+            preds = self.decode(dur_pred.hidden, frame_layout(frames), every_head=False)
         return preds[-1].data[0], frames[0]
 
 

@@ -94,8 +94,7 @@ class Linear(Module):
             object.__setattr__(self, "bias", None)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        return out if self.bias is None else out + self.bias
+        return matmul(x, self.weight, self.bias)
 
 
 class RandomSource:

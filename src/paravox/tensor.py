@@ -26,9 +26,16 @@ The hot network ops are fused: ``softmax``, ``glu``, ``layer_norm``,
 one contraction), ``lstm`` (one input GEMM over all steps, then the recurrence
 in numpy), ``attention`` (every head's scores, mask, softmax and context),
 ``dropout`` and ``bce_with_logits`` are each a single graph node with a
-hand-written numpy backward.  A contraction raises ShapeError naming its
-operands' shapes when they do not fit.  The module holds only the ops that
-some command runs.
+hand-written numpy backward.  ``matmul`` takes an optional bias, added in
+place to the fresh product, so a Linear layer is one node too; its backward
+reduces the output gradient to the bias as a separate add node would.  A
+contraction raises ShapeError naming its operands' shapes when they do not
+fit.  The module holds only the ops that some command runs.
+
+The logistic sigmoid (in ``sigmoid``, ``glu``, softplus's backward, the lstm
+and ``bce_with_logits``) is branch-free and exact: with s = 1 / (1 + e^-|z|)
+in [0.5, 1], s - 0.5 and 1 - s are exact (Sterbenz), so 0.5 + copysign(s -
+0.5, z) is exactly the s or 1 - s that a select on the sign of z would pick.
 
 Two run-level precisions exist: "standard" (float32) for training and "high"
 (float64) for finite-difference gradient checks.  The precision is a global
@@ -36,15 +43,16 @@ switch; it applies to tensors created after the switch.
 
 Multiply-add counting: each forward op adds its cost to a global counter so
 callers can compare decoder variants by exact operation counts instead of
-wall clock.  Contractions count their multiply-adds: ``matmul`` k*n per row,
-``conv1d`` k*d_in*d_out per output frame, ``lightweight_conv`` k per output
-element, ``lstm`` B*N*4H*(d_in+H) for its input and recurrent projections,
-and ``attention`` B*h*Tq*Tk*(dk+dv) plus one per score for each of its scale,
-key mask and softmax.  Element-wise ops (``bce_with_logits`` among them),
-``softmax``, ``layer_norm`` and ``gather_rows`` count one per output element,
-so the upsampler's frame gather costs T*d per utterance; ``glu`` counts two,
-its sigmoid and its product.  ``sum_`` counts one per input element, and
-shape ops (reshape, concat, slicing, expand, ``move_rows``) nothing.
+wall clock.  Contractions count their multiply-adds: ``matmul`` k*n per row
+plus one per output element for a bias, ``conv1d`` k*d_in*d_out per output
+frame, ``lightweight_conv`` k per output element, ``lstm`` B*N*4H*(d_in+H)
+for its input and recurrent projections, and ``attention`` B*h*Tq*Tk*(dk+dv)
+plus one per score for each of its scale, key mask and softmax.  Element-wise
+ops (``bce_with_logits`` among them), ``softmax``, ``layer_norm`` and
+``gather_rows`` count one per output element, so the upsampler's frame gather
+costs T*d per utterance; ``glu`` counts two, its sigmoid and its product.
+``sum_`` counts one per input element, and shape ops (reshape, concat,
+slicing, expand, ``move_rows``) nothing.
 """
 
 from __future__ import annotations
@@ -334,9 +342,10 @@ def relu(a) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp only ever sees -|z|."""
+    """Logistic function without overflow (exp only ever sees -|z|) and
+    without a per-element branch on the sign; exact, as the module says."""
     s = 1.0 / (1.0 + np.exp(-np.abs(z)))
-    return np.where(z >= 0, s, 1.0 - s)
+    return 0.5 + np.copysign(s - 0.5, z)
 
 
 def sigmoid(a) -> Tensor:
@@ -376,14 +385,22 @@ def tanh(a) -> Tensor:
 
 # -- contractions and reductions ----------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    """``a`` [..., k] times a [k, n] weight, as 2-D GEMMs over a's rows."""
+def matmul(a, b, bias=None) -> Tensor:
+    """``a`` [..., k] times a [k, n] weight, as 2-D GEMMs over a's rows, plus
+    an optional [n] ``bias`` added in place to the product, so that a Linear
+    layer is one node."""
     a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul needs a rank >= 2 operand [..., k] and a [k, n] weight, "
-                         f"got {a.shape} and {b.shape}")
+    bias = None if bias is None else _lift(bias)
+    if (a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]
+            or (bias is not None and bias.shape != b.shape[1:])):
+        raise ShapeError(f"matmul needs a rank >= 2 operand [..., k], a [k, n] weight and an "
+                         f"optional [n] bias, got {a.shape}, {b.shape} and "
+                         f"{None if bias is None else bias.shape}")
     rows = a.data.reshape(-1, a.shape[-1])
-    out_data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    out_data = rows @ b.data
+    if bias is not None:
+        out_data += bias.data
+    out_data = out_data.reshape(a.shape[:-1] + b.shape[-1:])
 
     def bw(g):
         g_rows = g.reshape(-1, g.shape[-1])
@@ -391,8 +408,12 @@ def matmul(a, b) -> Tensor:
             a._accum((g_rows @ b.data.T).reshape(a.data.shape))
         if not b.const:
             b._accum(rows.T @ g_rows)
+        if bias is not None and not bias.const:
+            bias._accum(_unbroadcast(g, bias.data.shape))
 
-    return _make(out_data, (a, b), bw, madds=out_data.size * a.shape[-1])
+    if bias is None:
+        return _make(out_data, (a, b), bw, madds=out_data.size * a.shape[-1])
+    return _make(out_data, (a, b, bias), bw, madds=out_data.size * (a.shape[-1] + 1))
 
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
@@ -627,21 +648,29 @@ def glu(x) -> Tensor:
     return _make(out_data, (x,), bw, madds=2 * out_data.size)
 
 
+def _mean_last(z: np.ndarray) -> np.ndarray:
+    """``z.mean(axis=-1, keepdims=True)`` by the arithmetic numpy's Python
+    ``_mean`` runs, a sum and then a division by the count as an intp, cast
+    back in place, so the bits match without that function's overhead."""
+    total = np.add.reduce(z, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(z.shape[-1]), out=total, casting="unsafe")
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
     if gain.shape[-1] != x.shape[-1]:
         raise ShapeError(f"layer_norm gain extent {gain.shape} does not match feature extent {x.shape[-1]}")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    normed = centered * inv
-    out_data = normed * gain.data + bias.data
+    normed = x.data - _mean_last(x.data)
+    inv = (_mean_last(normed * normed) + eps) ** -0.5
+    normed *= inv
+    out_data = normed * gain.data
+    out_data += bias.data
 
     def bw(g):
         if not x.const:
             gn = g * gain.data
-            x._accum(inv * (gn - gn.mean(axis=-1, keepdims=True)
-                            - normed * (gn * normed).mean(axis=-1, keepdims=True)))
+            x._accum(inv * (gn - _mean_last(gn) - normed * _mean_last(gn * normed)))
         if not gain.const:
             gain._accum(_unbroadcast(g * normed, gain.data.shape))
         if not bias.const:
@@ -653,8 +682,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
 def _time_windows(z: np.ndarray, k: int, left: int, right: int) -> np.ndarray:
     """[B, T, d] -> read-only [B, T + left + right - k + 1, d, k] view of every
     k-frame window over the zero-padded time axis."""
-    zp = np.pad(z, ((0, 0), (left, right), (0, 0)))
-    return np.lib.stride_tricks.sliding_window_view(zp, k, axis=1)
+    b, t, d = z.shape
+    zp = np.zeros((b, left + t + right, d), dtype=z.dtype)
+    zp[:, left:left + t] = z
+    s_b, s_t, s_d = zp.strides
+    return np.lib.stride_tricks.as_strided(zp, (b, left + t + right - k + 1, d, k),
+                                           (s_b, s_t, s_d, s_t), writeable=False)
 
 
 def lightweight_conv(x, kernel) -> Tensor:

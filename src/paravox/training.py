@@ -407,7 +407,7 @@ def _decode_rows(model: SynthesisModel, hidden: Tensor, frames_by_row: dict) -> 
         frames[i, :len(row_frames)] = row_frames
     with no_grad():
         mels = model.decode(constant(hidden.data[list(frames_by_row)]),
-                            frame_layout(frames))[-1].data
+                            frame_layout(frames), every_head=False)[-1].data
     return [mel[:total] for mel, total in zip(mels, frames.sum(axis=1))]
 
 

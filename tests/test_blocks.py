@@ -211,7 +211,7 @@ def op_counts(out: Tensor) -> dict:
 def test_blocks_without_padding_add_no_pack_node_and_no_mask_multiply(kind):
     # op nodes with mask None, with an all-ones mask and with padding (four
     # move_rows); the transformer's attention is one node with or without a mask
-    expected = {"lconv": (14, 14, 18), "transformer": (17, 17, 21)}[kind]
+    expected = {"lconv": (11, 11, 15), "transformer": (12, 12, 16)}[kind]
     if kind == "lconv":
         blk = blocks.LConvBlock(8, 2, 3, np.random.default_rng(40))
     else:

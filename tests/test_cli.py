@@ -549,7 +549,13 @@ def test_bench_csv_and_validation(tmp_path, capsys):
     (["--blocks", "0"], ["--blocks"]),
     (["--kernel", "4"], ["--kernel"]),
     (["--d-model", "0", "--blocks", "-1", "--kernel", "0"], ["--d-model", "--blocks", "--kernel"]),
-], ids=["d-model", "blocks", "kernel", "all-three"])
+    (["--d-model", "100000"], ["--d-model"]),
+    (["--blocks", "65"], ["--blocks"]),
+    (["--kernel", "67"], ["--kernel"]),
+    (["--d-model", "2056", "--blocks", "5000000", "--kernel", "99", "--frames", "100001"],
+     ["--d-model", "--blocks", "--kernel", "--frames"]),
+], ids=["d-model", "blocks", "kernel", "all-three", "d-model-cap", "blocks-cap", "kernel-cap",
+        "all-caps"])
 def test_bench_rejects_bad_sizes_together(flags, named, capsys):
     rc = main(["bench", "--decoder", "ar-sim", "--frames", "8", "--repeats", "1"] + flags)
     assert rc == EXIT_USAGE
@@ -557,7 +563,7 @@ def test_bench_rejects_bad_sizes_together(flags, named, capsys):
     assert err.count("error:") == 1 and all(flag in err for flag in named)
 
 
-@pytest.mark.parametrize("frames", ["abc", "-3", "0", "8,0", "8,", ""])
+@pytest.mark.parametrize("frames", ["abc", "-3", "0", "8,0", "8,", "", "100001", "8,100000000"])
 @pytest.mark.parametrize("decoder", ["lconv", "transformer", "ar-sim"])
 def test_bench_rejects_bad_frame_counts(decoder, frames, capsys):
     rc = main(["bench", "--decoder", decoder, "--frames", frames, "--repeats", "1",

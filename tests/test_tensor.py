@@ -50,6 +50,27 @@ def test_sigmoid_value_and_gradient_at_zero():
     assert x.grad == pytest.approx(0.25)
 
 
+def reference_sigmoid(z):
+    """The sign select that the branch-free ``_sigmoid`` reproduces bit for bit."""
+    s = 1.0 / (1.0 + np.exp(-np.abs(z)))
+    return np.where(z >= 0, s, 1.0 - s)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_the_sign_select_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    edges = np.array([0.0, np.inf, info.smallest_subnormal, info.smallest_normal / 3,
+                      info.smallest_normal, 88.7, 104.0, 745.0], dtype=dtype)
+    rng = np.random.default_rng(97)
+    if dtype == np.float32:
+        sample = rng.integers(0, 2 ** 32, size=1_000_000, dtype=np.uint32).view(np.float32)
+    else:
+        sample = rng.normal(scale=20.0, size=1_000_000)
+    z = np.concatenate([edges, -edges, sample[~np.isnan(sample)]])
+    uint = np.uint32 if dtype == np.float32 else np.uint64
+    assert np.array_equal(pt._sigmoid(z).view(uint), reference_sigmoid(z).view(uint))
+
+
 def test_add_broadcast_and_reduction():
     a = Parameter(np.ones((2, 3)))
     b = Parameter(np.ones((3,)))
@@ -104,6 +125,37 @@ def test_matmul_grad_matches_finite_differences():
 def test_matmul_inner_mismatch_rejected():
     with pytest.raises(ShapeError):
         pt.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+    with pytest.raises(ShapeError, match=re.escape("(3,)")):
+        pt.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("a_shape", [(4, 5), (2, 3, 5)])
+def test_matmul_bias_is_matmul_plus_add_bit_for_bit(a_shape, with_bias):
+    """One node, with the values, gradients and madds of a matmul node and an add node."""
+    rng = np.random.default_rng(6)
+    a_data, w_data, b_data = rng.normal(size=a_shape), rng.normal(size=(5, 3)), rng.normal(size=3)
+    weights = rng.normal(size=a_shape[:-1] + (3,))
+
+    def run(fused):
+        a, w, b = Parameter(a_data), Parameter(w_data), Parameter(b_data)
+        pt.reset_madds()
+        if fused:
+            out = pt.matmul(a, w, b if with_bias else None)
+        else:
+            out = pt.matmul(a, w) + b if with_bias else pt.matmul(a, w)
+        madds = pt.madds()
+        backward((out * weights).sum())
+        return out, madds, [p.grad for p in (a, w, b)]
+
+    fused, fused_madds, fused_grads = run(True)
+    composite, composite_madds, composite_grads = run(False)
+    assert len(fused._parents) == (3 if with_bias else 2)
+    assert np.array_equal(fused.data, composite.data)
+    assert fused_madds == composite_madds == fused.size * (5 + with_bias)
+    for got, want in zip(fused_grads, composite_grads):
+        assert (got is None and want is None) or np.array_equal(got, want)
+    assert (fused_grads[2] is None) == (not with_bias)
 
 
 def test_softmax_uniform_and_overflow():
@@ -420,6 +472,7 @@ MULTI_PARENT_OPS = {
     "mul": (pt.mul, [(2, 3), (2, 1)]),
     "div": (pt.div, [(2, 3), (2, 3)]),
     "matmul": (pt.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_bias": (pt.matmul, [(2, 3, 4), (4, 5), (5,)]),
     "concat": (lambda a, b: pt.concat([a, b], axis=1), [(2, 3), (2, 2)]),
     "conv1d": (lambda x, w, b: pt.conv1d(x, w, b, stride=2), [(2, 5, 3), (3, 3, 4), (4,)]),
     "layer_norm": (pt.layer_norm, [(2, 3, 4), (4,), (4,)]),

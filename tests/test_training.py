@@ -11,6 +11,7 @@ from paravox.errors import ConfigError, DegenerateSynthesisError, TrainingDiverg
 from paravox.fileformats import read_mel
 from paravox.model import (ForwardOutputs, ModelConfig, ModelHyperparams, SynthesisModel,
                            make_batch)
+from paravox.module import Linear
 from paravox.tensor import Parameter, Tensor, backward
 from paravox.training import (NesterovMomentum, TrainConfig, TrainState,
                               beta_schedule, build_state, clip_global_norm, load_state,
@@ -241,11 +242,11 @@ def test_spec_loss_gradient_never_reaches_duration_heads(tiny_spec, tiny_corpus)
     assert block_has_grad  # the upsampled hidden path must carry gradient
 
 
-@pytest.mark.parametrize("variant", ["novae", "global", "fine"])
+@pytest.mark.parametrize("variant, iterative", [
+    pytest.param(variant, iterative, id=variant if iterative else f"{variant}-single")
+    for iterative in (True, False) for variant in ("novae", "global", "fine")])
 def test_training_step_builds_only_nodes_its_loss_reaches(tiny_spec, tiny_corpus, monkeypatch,
-                                                          variant):
-    # Only the iterative loss: the single loss reads the last decoder head, but
-    # the decoder still projects every block's head.
+                                                          variant, iterative):
     built, losses = [], []
     make = pt._make
 
@@ -262,7 +263,7 @@ def test_training_step_builds_only_nodes_its_loss_reaches(tiny_spec, tiny_corpus
     monkeypatch.setattr(pt, "_make", recording_make)
     monkeypatch.setattr(training, "backward", recording_backward)
     model = build_tiny_model(tiny_spec, variant)
-    cfg = tiny_train_config(variant=variant, iterative_loss=True)
+    cfg = tiny_train_config(variant=variant, iterative_loss=iterative)
     state = TrainState(model, NesterovMomentum(model.named_parameters(), cfg.momentum))
     train_step(state, make_batch(tiny_corpus[:3]), cfg, np.random.default_rng(0))
     reached = {id(node) for node in pt._topo_order(losses[0])}
@@ -424,3 +425,26 @@ def test_free_evaluate_decodes_each_row_as_synthesize_does(tiny_spec, tiny_corpu
         total += np.abs(dumped[:t] - utt.mel[:t]).sum()
         cells += t * utt.mel.shape[1]
     assert metrics["spec_l1"] == pytest.approx(total / cells, rel=1e-6)
+
+
+@pytest.mark.parametrize("caller", ["synthesize", "teacher", "free"])
+def test_inference_projects_only_the_last_decoder_head(tiny_spec, tiny_corpus, monkeypatch,
+                                                       caller):
+    model = build_tiny_model(tiny_spec, "global")
+    model.duration_predictor.gate_proj.bias.data[:] = 8.0
+    heads = {id(proj): i for i, proj in enumerate(model.decoder.projections)}
+    assert len(heads) > 1
+    projected = []
+    call = Linear.__call__
+
+    def recording_call(self, x):
+        if id(self) in heads:
+            projected.append(heads[id(self)])
+        return call(self, x)
+
+    monkeypatch.setattr(Linear, "__call__", recording_call)
+    if caller == "synthesize":
+        model.synthesize(tiny_corpus[0].tokens, tiny_corpus[0].speaker)
+    else:
+        training.evaluate(model, tiny_corpus[:4], mode=caller, batch_size=4)
+    assert projected == [len(heads) - 1]
