@@ -9,6 +9,7 @@ generator must redo when nothing is reusable across steps.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -21,6 +22,12 @@ BENCH_KINDS = ("lconv", "transformer", "ar-sim")
 HEADS = 8
 # The longest sequence a benchmark decodes: about 21 minutes at 80 frames/s.
 MAX_FRAMES = 100_000
+# The transformer pass builds every head's [1, HEADS, T, T] float32 attention
+# scores, and its softmax holds a few arrays of that size at once.  Its frame
+# count is capped so that one such array stays within SCORE_BUDGET_BYTES
+# (512 MiB): T <= 4,096 frames, about 51 s at 80 frames/s.
+SCORE_BUDGET_BYTES = 512 * 2**20
+MAX_TRANSFORMER_FRAMES = math.isqrt(SCORE_BUDGET_BYTES // (HEADS * 4))
 
 
 @dataclass

@@ -8,10 +8,13 @@ the self-attention block use pre-norm residual sublayers.  Masks are float
 
 The two sequence blocks run their row-wise sublayers (norms, projections,
 GLU, feed-forward, dropout, residual adds) on the valid rows only, packed
-into [M, d] by ``Rows``.  They unpack to [B, T, d] only around the op that
-reads neighbouring rows, the lightweight conv or the attention, and once on
-exit; unpacking leaves exact zero rows at padding, so padding never leaks and
-is never masked again.  Without padding, packing is the identity.
+into [M, d] by ``Rows``.  The lightweight conv reads the packed rows too: it
+scatters them into its own zero-padded window buffer and returns packed rows.
+Only the attention unpacks to [B, T, d] (and packs its context again), and
+both blocks unpack once on exit; unpacking leaves exact zero rows at padding,
+so padding never leaks and is never masked again.  Without padding, packing
+is the identity.  Each ReLU and the dropout after it are one node
+(``pt.relu`` with a rate and a generator).
 """
 
 from __future__ import annotations
@@ -88,9 +91,10 @@ class LayerNorm(Module):
 class LightweightConv(Module):
     """Depthwise conv sharing one kernel per head, taps softmax-normalized.
 
-    Centered (non-causal) window with zero padding.  The input must hold zero
-    rows at padded positions (``Rows.unpack`` leaves them so), which then do
-    not contribute; output rows at padding are not zeroed.
+    Centered (non-causal) window with zero padding.  The input is [B, T, d]
+    with zero rows at padded positions, which then do not contribute (output
+    rows at padding are not zeroed), or the packed [M, d] valid rows of
+    ``rows``, which come back packed.
     """
 
     def __init__(self, dim: int, heads: int, kernel_size: int, rng: np.random.Generator):
@@ -106,8 +110,9 @@ class LightweightConv(Module):
     def normalized_kernel(self) -> Tensor:
         return pt.softmax(self.kernel, axis=1)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return pt.lightweight_conv(x, self.normalized_kernel())
+    def __call__(self, x: Tensor, rows: Rows | None = None) -> Tensor:
+        rows = Rows(None) if rows is None else rows
+        return pt.lightweight_conv(x, self.normalized_kernel(), rows.ids, rows.padded)
 
 
 class LConvBlock(Module):
@@ -131,10 +136,9 @@ class LConvBlock(Module):
     def __call__(self, x: Tensor, mask=None, rng=None) -> Tensor:
         rows = Rows(mask)
         x = rows.pack(x)
-        h = pt.glu(self.glu_proj(self.norm1(x)))
-        h = rows.pack(self.conv(rows.unpack(h)))
+        h = self.conv(pt.glu(self.glu_proj(self.norm1(x))), rows)
         x = x + pt.dropout(h, self.dropout, rng)
-        f = pt.dropout(pt.relu(self.ff1(self.norm2(x))), self.dropout, rng)
+        f = pt.relu(self.ff1(self.norm2(x)), self.dropout, rng)
         return rows.unpack(x + self.ff2(f))
 
 
@@ -176,7 +180,7 @@ class TransformerBlock(Module):
         rows = Rows(mask)
         x = rows.pack(x)
         x = x + pt.dropout(self.attn(self.norm1(x), rows), self.dropout, rng)
-        f = pt.dropout(pt.relu(self.ff1(self.norm2(x))), self.dropout, rng)
+        f = pt.relu(self.ff1(self.norm2(x)), self.dropout, rng)
         return rows.unpack(x + self.ff2(f))
 
 
@@ -195,5 +199,5 @@ class ConvBlock(Module):
 
     def __call__(self, x: Tensor, mask=None, rng=None) -> Tensor:
         h = conv1d(apply_mask(x, mask), self.weight, self.bias)
-        h = pt.dropout(pt.relu(self.norm(h)), self.dropout, rng)
+        h = pt.relu(self.norm(h), self.dropout, rng)
         return apply_mask(h, mask)

@@ -15,7 +15,8 @@ import time
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .bench import BENCH_KINDS, HEADS, MAX_FRAMES, format_csv, run_benchmark
+from .bench import (BENCH_KINDS, HEADS, MAX_FRAMES, MAX_TRANSFORMER_FRAMES, SCORE_BUDGET_BYTES,
+                    format_csv, run_benchmark)
 from .checks import REGISTRY, run_checks
 from .decoder import KINDS as DECODER_KINDS
 from .errors import (ConfigError, DegenerateSynthesisError, FormatError,
@@ -219,6 +220,10 @@ def cmd_bench(args) -> int:
     if not all(f.strip().isdecimal() and 0 < int(f) <= MAX_FRAMES for f in frames):
         problems.append(f"--frames must be comma-separated integers from 1 to {MAX_FRAMES}, "
                         f"got {args.frames!r}")
+    elif "transformer" in kinds and max(map(int, frames)) > MAX_TRANSFORMER_FRAMES:
+        problems.append(f"--frames must be at most {MAX_TRANSFORMER_FRAMES} for the transformer "
+                        f"decoder, whose float32 [1, {HEADS}, T, T] attention scores would "
+                        f"exceed {SCORE_BUDGET_BYTES // 2**20} MiB; got {args.frames!r}")
     if args.repeats < 1:
         problems.append("--repeats must be >= 1")
     if not 1 <= args.d_model <= MAX_WIDTH or args.d_model % HEADS:

@@ -94,17 +94,16 @@ def _u32(n: int) -> bytes:
 # -- parameter checkpoints -----------------------------------------------------
 
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    chunks = [CKPT_MAGIC, bytes([VERSION])]
-    for name, arr in arrays.items():
-        encoded = name.encode("utf-8")
-        arr = np.asarray(arr, dtype=np.float64)
-        chunks.append(_u32(len(encoded)))
-        chunks.append(encoded)
-        chunks.append(bytes([arr.ndim]))
-        for extent in arr.shape:
-            chunks.append(_u32(extent))
-        chunks.append(arr.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    """Write each record straight to the open file; only an array that is not
+    already C-ordered little-endian float64 is converted, one at a time."""
+    with open(path, "wb") as fh:
+        fh.write(CKPT_MAGIC + bytes([VERSION]))
+        for name, arr in arrays.items():
+            encoded = name.encode("utf-8")
+            values = np.require(arr, dtype="<f8", requirements="C")
+            fh.write(_u32(len(encoded)) + encoded + bytes([values.ndim])
+                     + b"".join(_u32(extent) for extent in values.shape))
+            fh.write(values.data)
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:

@@ -32,6 +32,16 @@ reduces the output gradient to the bias as a separate add node would.  A
 contraction raises ShapeError naming its operands' shapes when they do not
 fit.  The module holds only the ops that some command runs.
 
+What a node keeps for its backward sets what a training step holds, so the
+fused nodes keep little: ``dropout`` keeps its boolean keep mask, one byte
+per element, and rebuilds the scaled mask where a product needs it;
+``relu`` given a rate and a generator is the ReLU and the dropout after it in
+one node, keeping that mask and its input (which the op before holds anyway),
+so the ReLU's own output, which no backward reads, is never held; and
+``lightweight_conv`` keeps its zero-padded window buffer, into which it
+scatters packed [M, d] rows directly, so no [B, T, d] unpacked input or
+output is held beside it.
+
 The logistic sigmoid (in ``sigmoid``, ``glu``, softplus's backward, the lstm
 and ``bce_with_logits``) is branch-free and exact: with s = 1 / (1 + e^-|z|)
 in [0.5, 1], s - 0.5 and 1 - s are exact (Sterbenz), so 0.5 + copysign(s -
@@ -45,12 +55,14 @@ Multiply-add counting: each forward op adds its cost to a global counter so
 callers can compare decoder variants by exact operation counts instead of
 wall clock.  Contractions count their multiply-adds: ``matmul`` k*n per row
 plus one per output element for a bias, ``conv1d`` k*d_in*d_out per output
-frame, ``lightweight_conv`` k per output element, ``lstm`` B*N*4H*(d_in+H)
+frame, ``lightweight_conv`` k per element of the padded [B, T, d] grid (also
+when it reads packed rows), ``lstm`` B*N*4H*(d_in+H)
 for its input and recurrent projections, and ``attention`` B*h*Tq*Tk*(dk+dv)
 plus one per score for each of its scale, key mask and softmax.  Element-wise
 ops (``bce_with_logits`` among them), ``softmax``, ``layer_norm`` and
 ``gather_rows`` count one per output element, so the upsampler's frame gather
-costs T*d per utterance; ``glu`` counts two, its sigmoid and its product.
+costs T*d per utterance; ``glu`` counts two, its sigmoid and its product,
+and so does ``relu`` with dropout, its max and its mask product.
 ``sum_`` counts one per input element, and shape ops (reshape, concat,
 slicing, expand, ``move_rows``) nothing.
 """
@@ -331,14 +343,20 @@ def abs_(a) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def relu(a) -> Tensor:
+def relu(a, rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """max(a, 0); with a generator and a positive rate, followed by dropout in
+    the same node: forward ``max(a, 0) * keep``, backward ``g * keep * (a > 0)``,
+    the mask drawn as ``dropout`` draws it and kept as one byte per element."""
     a = _lift(a)
     out_data = np.maximum(a.data, 0.0)
+    if rng is None or rate <= 0.0:
+        return _make(out_data, (a,), lambda g: a._accum(g * (a.data > 0)))
+    kept, scale = _draw_keep(a.shape, rate, rng)
 
     def bw(g):
-        a._accum(g * (a.data > 0))
+        a._accum(g * (kept * scale) * (a.data > 0))
 
-    return _make(out_data, (a,), bw)
+    return _make(out_data * (kept * scale), (a,), bw, madds=2 * out_data.size)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -679,48 +697,77 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _make(out_data, (x, gain, bias), bw)
 
 
-def _time_windows(z: np.ndarray, k: int, left: int, right: int) -> np.ndarray:
-    """[B, T, d] -> read-only [B, T + left + right - k + 1, d, k] view of every
-    k-frame window over the zero-padded time axis."""
+def _pad_time(z: np.ndarray, left: int, right: int) -> np.ndarray:
+    """[B, T, d] -> a [B, left + T + right, d] copy, zero at both ends."""
     b, t, d = z.shape
     zp = np.zeros((b, left + t + right, d), dtype=z.dtype)
     zp[:, left:left + t] = z
+    return zp
+
+
+def _time_windows(zp: np.ndarray, k: int) -> np.ndarray:
+    """A zero-padded [B, T', d] buffer -> its read-only [B, T' - k + 1, d, k]
+    view of every k-frame window."""
+    b, tp, d = zp.shape
     s_b, s_t, s_d = zp.strides
-    return np.lib.stride_tricks.as_strided(zp, (b, left + t + right - k + 1, d, k),
-                                           (s_b, s_t, s_d, s_t), writeable=False)
+    return np.lib.stride_tricks.as_strided(zp, (b, tp - k + 1, d, k), (s_b, s_t, s_d, s_t),
+                                           writeable=False)
 
 
-def lightweight_conv(x, kernel) -> Tensor:
+def lightweight_conv(x, kernel, ids=None, padded=None) -> Tensor:
     """Centered depthwise convolution of [B, T, d] with per-head taps [h, k].
 
     Channel c uses the taps of head c // (d / h) (heads are contiguous channel
     groups); k is odd and both ends are zero padded, so
     out[:, t] = sum_j kernel[head, j] * x[:, t + j - k // 2].  Forward and
     backward are each a sliding window and one contraction over the taps.
+
+    With ``ids`` and ``padded`` = (B, T), as ``move_rows`` takes them, ``x``
+    is the [M, d] packed rows and so is the result: the rows are scattered
+    straight into the zero-padded window buffer, and the output and input
+    gradient rows are gathered from the [B, T, d] grid.  The result is the
+    unpack, convolve, pack composite's bit for bit: the kernel gradient is
+    summed over the whole grid, and the madds are counted over it.
     """
     x, kernel = _lift(x), _lift(kernel)
-    b, t, d = x.shape
     h, k = kernel.shape
-    if d % h != 0 or k % 2 != 1:
-        raise ShapeError(f"lightweight_conv needs heads dividing channels and an odd width; "
-                         f"got input {x.shape} and taps {kernel.shape}")
+    d = x.shape[-1]
+    if (d % h != 0 or k % 2 != 1 or x.ndim != (3 if ids is None else 2)
+            or (ids is not None and len(ids) != x.shape[0])):
+        raise ShapeError(f"lightweight_conv needs heads dividing channels, an odd width and "
+                         f"[B, T, d] or [M, d] packed rows; got input {x.shape}, taps "
+                         f"{kernel.shape} and {None if ids is None else len(ids)} row ids")
+    b, t = x.shape[:2] if ids is None else padded
+    if ids is None:
+        zp = _pad_time(x.data, k // 2, k // 2)
+    else:
+        zp = np.zeros((b, t + k - 1, d), dtype=x.data.dtype)
+        zp.reshape(-1, d)[ids + ids // t * (k - 1) + k // 2] = x.data
 
     def windows(z):  # [B, T, h, d/h, k]
-        return _time_windows(z, k, k // 2, k // 2).reshape(b, t, h, d // h, k)
+        return _time_windows(z, k).reshape(b, t, h, d // h, k)
 
-    win = windows(x.data)
+    win = windows(zp)
     out_data = np.matmul(win, kernel.data[:, :, None]).reshape(b, t, d)
 
     def bw(g):
+        if ids is not None:  # the gradient rows on the [B, T, d] grid, zero at padding
+            full = np.zeros((b * t, d), dtype=g.dtype)
+            full[ids] = g
+            g = full.reshape(b, t, d)
         if not kernel.const:
             kernel._accum(np.matmul(g.reshape(b, t, h, 1, d // h), win).sum(axis=(0, 1)).reshape(h, k))
         if not x.const:
             # x[:, s] reaches out[:, s - j + k // 2] through tap j: correlate the
             # padded gradient with the tap-reversed kernel
             flipped = np.ascontiguousarray(kernel.data[:, ::-1, None])
-            x._accum(np.matmul(windows(g), flipped).reshape(b, t, d))
+            g_x = np.matmul(windows(_pad_time(g, k // 2, k // 2)), flipped)
+            x._accum(g_x.reshape(b, t, d) if ids is None else g_x.reshape(-1, d)[ids])
 
-    return _make(out_data, (x, kernel), bw, madds=out_data.size * k)
+    madds = out_data.size * k
+    if ids is not None:
+        out_data = out_data.reshape(-1, d)[ids]
+    return _make(out_data, (x, kernel), bw, madds=madds)
 
 
 def conv1d(x, weight, bias, stride: int = 1) -> Tensor:
@@ -742,7 +789,7 @@ def conv1d(x, weight, bias, stride: int = 1) -> Tensor:
     t_out = -(-t // stride)
     left = k // 2
     right = max((t_out - 1) * stride + k - left - t, 0)
-    cols = _time_windows(x.data, k, left, right)[:, ::stride][:, :t_out]
+    cols = _time_windows(_pad_time(x.data, left, right), k)[:, ::stride][:, :t_out]
     cols = cols.transpose(0, 1, 3, 2).reshape(b * t_out, k * d_in)  # tap-major columns
     w2 = weight.data.reshape(k * d_in, d_out)
     out_data = (cols @ w2 + bias.data).reshape(b, t_out, d_out)
@@ -833,23 +880,30 @@ def lstm(x, w_x, w_h, b) -> Tensor:
     return _make(out_data, (x, w_x, w_h, b), bw, madds=bsz * steps * 4 * hidden * (d_in + hidden))
 
 
+def _draw_keep(shape, rate: float, rng: np.random.Generator):
+    """Dropout's draw: the boolean keep mask and the inverted scale, both in the
+    active dtype's arithmetic; ``kept * scale`` is the scaled float mask."""
+    dtype = active_dtype()
+    return rng.random(shape, dtype=dtype) >= rate, dtype(1.0 / (1.0 - rate))
+
+
 def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted-scaling dropout; the identity without a generator or at rate 0.
 
     A generator is what switches dropout on: training passes one, evaluation
-    and inference pass None.  The keep mask is drawn and scaled in the active
-    dtype, and the node's backward is ``g * mask``.
+    and inference pass None.  The node keeps the boolean mask, one byte per
+    element, and rebuilds the scaled mask where a product needs it: forward
+    ``x * (kept * scale)``, backward ``g * (kept * scale)``.
     """
     x = _lift(x)
     if rng is None or rate <= 0.0:
         return x
-    dtype = active_dtype()
-    keep = (rng.random(x.shape, dtype=dtype) >= rate) * dtype(1.0 / (1.0 - rate))
+    kept, scale = _draw_keep(x.shape, rate, rng)
 
     def bw(g):
-        x._accum(g * keep)
+        x._accum(g * (kept * scale))
 
-    return _make(x.data * keep, (x,), bw)
+    return _make(x.data * (kept * scale), (x,), bw)
 
 
 def bce_with_logits(logits, targets) -> Tensor:

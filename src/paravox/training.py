@@ -336,6 +336,12 @@ def load_state(state: TrainState, path) -> None:
 
 def train_step(state: TrainState, batch: Batch, cfg: TrainConfig,
                rng: np.random.Generator) -> dict:
+    """One forward, backward, clip and momentum update; returns the metrics row.
+
+    The gradients are released once the optimizer has applied them, so the
+    step returns with every parameter's ``.grad`` None and the next forward
+    runs without the last step's gradients beside it.
+    """
     step = state.step + 1
     beta = cfg.beta_at(step)
     out = state.model.forward_train(batch, dropout_rng=rng,
@@ -344,10 +350,10 @@ def train_step(state: TrainState, batch: Batch, cfg: TrainConfig,
     loss = total_loss(out, cfg.lambda_dur, beta)
     if not np.isfinite(loss.data):
         raise TrainingDiverged(f"non-finite loss {loss.data!r} at step {step}")
-    state.model.zero_grad()
     backward(loss)
     grad_norm = clip_global_norm(state.model.parameters(), cfg.clip_norm)
     state.optimizer.step(cfg.lr_at(step))
+    state.model.zero_grad()
     state.step = step
     return {
         "step": step, "lr": cfg.lr_at(step), "beta": beta, "total": float(loss.data),

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paravox.cli import EXIT_CHECK, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from paravox import bench
+from paravox.cli import EXIT_CHECK, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from paravox.corpus import CorpusHeader, read_corpus
 from paravox.fileformats import read_arrays, read_mel, write_arrays
 from paravox.model import MAX_MEL_BINS, MAX_SPEAKERS
@@ -570,6 +571,24 @@ def test_bench_rejects_bad_frame_counts(decoder, frames, capsys):
                "--d-model", "16", "--blocks", "1", "--kernel", "3"])
     assert rc == EXIT_USAGE
     assert "--frames" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("decoder, frames", [
+    ("transformer", "4097"), ("transformer", "100000"), ("lconv,transformer", "8,4097"),
+])
+def test_bench_caps_transformer_frames_by_its_score_budget(decoder, frames, capsys):
+    # one float32 [1, 8, T, T] score array stays within bench.SCORE_BUDGET_BYTES
+    assert bench.MAX_TRANSFORMER_FRAMES == 4096
+    assert bench.HEADS * 4 * bench.MAX_TRANSFORMER_FRAMES ** 2 <= bench.SCORE_BUDGET_BYTES
+    assert bench.HEADS * 4 * (bench.MAX_TRANSFORMER_FRAMES + 1) ** 2 > bench.SCORE_BUDGET_BYTES
+    defaults = build_parser().parse_args(["bench"]).frames.split(",")
+    assert max(map(int, defaults)) <= bench.MAX_TRANSFORMER_FRAMES
+    rc = main(["bench", "--decoder", decoder, "--frames", frames, "--repeats", "1",
+               "--d-model", "7", "--blocks", "1", "--kernel", "1"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--d-model" in err
+    assert "--frames must be at most 4096 for the transformer" in err
 
 
 def test_missing_corpus_is_runtime_error(tmp_path):

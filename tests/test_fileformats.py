@@ -20,11 +20,15 @@ def test_checkpoint_round_trip(tmp_path):
         "encoder.embedding": rng.normal(size=(10, 4)),
         "decoder.blocks.0.conv.kernel": rng.normal(size=(2, 3)).astype(np.float32),
         "meta/step": np.array(42.0),
+        "transposed": rng.normal(size=(3, 2)).T,
     }
     path = tmp_path / "model.ckpt"
     ff.write_arrays(path, arrays)
     back = ff.read_arrays(path)
     assert set(back) == set(arrays)
+    assert all(a.flags.writeable and a.flags.c_contiguous for a in back.values())
+    assert back["meta/step"].shape == ()
+    assert np.array_equal(back["transposed"], arrays["transposed"])
     assert np.array_equal(back["encoder.embedding"], arrays["encoder.embedding"])
     # float32 values survive the float64 container exactly
     assert np.array_equal(back["decoder.blocks.0.conv.kernel"].astype(np.float32),

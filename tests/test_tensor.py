@@ -784,6 +784,69 @@ def test_dropout_is_one_node_drawing_in_the_active_dtype(mode):
         assert np.array_equal(x.grad, g.astype(dtype) * keep)
 
 
+def test_relu_with_dropout_is_the_relu_then_dropout_arithmetic_bit_for_bit():
+    """One node for max(x, 0) and the dropout after it: forward max(x, 0) * keep,
+    backward g * keep * (x > 0), the same draw, and two madds per element."""
+    rng = np.random.default_rng(11)
+    x_data, g = rng.normal(size=(6, 8)), rng.normal(size=(6, 8))
+    x = Parameter(x_data.copy())
+    draw = np.random.default_rng(12)
+    pt.reset_madds()
+    y = pt.relu(x, 0.3, draw)
+    madds = pt.madds()
+    backward((y * Tensor(g)).sum())
+    twin = np.random.default_rng(12)
+    keep = (twin.random((6, 8), dtype=np.float64) >= 0.3) * np.float64(1.0 / 0.7)
+    assert y._parents == (x,)
+    assert np.array_equal(y.data, np.maximum(x_data, 0.0) * keep)
+    assert np.array_equal(x.grad, g * keep * (x_data > 0))
+    assert madds == 2 * x_data.size
+    assert draw.bit_generator.state == twin.bit_generator.state
+    # without a generator, or at rate 0, it is the plain ReLU and draws nothing
+    for rate, gen in ((0.3, None), (0.0, np.random.default_rng(12))):
+        x = Parameter(x_data.copy())
+        pt.reset_madds()
+        y = pt.relu(x, rate, gen)
+        assert pt.madds() == x_data.size
+        backward((y * Tensor(g)).sum())
+        assert np.array_equal(y.data, np.maximum(x_data, 0.0))
+        assert np.array_equal(x.grad, g * (x_data > 0))
+    assert gen.bit_generator.state == np.random.default_rng(12).bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_lightweight_conv_on_packed_rows_is_unpack_conv_pack_bit_for_bit(k):
+    """Packed rows in and out, with the forward, both gradients and the madds of
+    move_rows -> lightweight_conv -> move_rows; the last batch row is all
+    padding, and T = 3 is below the widest kernel."""
+    rng = np.random.default_rng(13)
+    mask = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0]])
+    ids = np.flatnonzero(mask)
+    rows_data, taps_data = rng.normal(size=(ids.size, 6)), rng.normal(size=(2, k))
+    g = rng.normal(size=(ids.size, 6))
+
+    def run(packed):
+        rows, taps = Parameter(rows_data.copy()), Parameter(taps_data.copy())
+        pt.reset_madds()
+        if packed:
+            out = pt.lightweight_conv(rows, taps, ids, mask.shape)
+        else:
+            out = pt.move_rows(pt.lightweight_conv(pt.move_rows(rows, ids, mask.shape), taps), ids)
+        madds = pt.madds()
+        backward((out * Tensor(g)).sum())
+        return out.data, madds, rows.grad, taps.grad
+
+    fused, composite = run(True), run(False)
+    assert fused[0].shape == (ids.size, 6)
+    assert fused[1] == composite[1] == mask.size * 6 * k
+    for got, want in zip(fused, composite):
+        assert np.array_equal(got, want)
+    with pytest.raises(ShapeError):
+        pt.lightweight_conv(Tensor(rows_data[1:]), Tensor(taps_data), ids, mask.shape)
+    with pytest.raises(ShapeError):
+        pt.lightweight_conv(Tensor(rows_data), Tensor(taps_data))
+
+
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_matches_per_head_loop(heads, masked):

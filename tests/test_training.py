@@ -7,17 +7,19 @@ import pytest
 
 import paravox.tensor as pt
 from paravox import duration, training
+from paravox.corpus import generate
 from paravox.errors import ConfigError, DegenerateSynthesisError, TrainingDiverged
 from paravox.fileformats import read_mel
 from paravox.model import (ForwardOutputs, ModelConfig, ModelHyperparams, SynthesisModel,
                            make_batch)
-from paravox.module import Linear
+from paravox.module import Linear, RandomSource
 from paravox.tensor import Parameter, Tensor, backward
 from paravox.training import (NesterovMomentum, TrainConfig, TrainState,
                               beta_schedule, build_state, clip_global_norm, load_state,
                               lr_multiplier, total_loss, train, train_step)
 
 from conftest import tiny_model_config_kwargs, tiny_train_config
+from test_acceptance import OVERFIT_SPEC, overfit_config
 
 
 # -- schedules -----------------------------------------------------------------
@@ -330,6 +332,43 @@ def test_train_step_decreases_loss_on_tiny_problem(tiny_spec, tiny_corpus):
         row = train_step(state, batch, cfg, np.random.default_rng(state.step + 1))
         first = first if first is not None else row["total"]
     assert row["total"] < 0.6 * first
+
+
+@pytest.mark.parametrize("variant", ["novae", "global", "fine"])
+def test_train_step_releases_every_gradient_after_the_update(tiny_spec, tiny_corpus, variant):
+    model = build_tiny_model(tiny_spec, variant)
+    cfg = tiny_train_config(variant=variant)
+    state = TrainState(model, NesterovMomentum(model.named_parameters(), cfg.momentum))
+    before = [p.data.copy() for p in model.parameters()]
+    train_step(state, make_batch(tiny_corpus), cfg, np.random.default_rng(0))
+    assert all(p.grad is None for p in model.parameters())
+    assert any(not np.array_equal(p.data, old) for p, old in zip(model.parameters(), before))
+    assert any(np.any(v != 0.0) for v in state.optimizer.velocity.values())
+
+
+# Nodes and node-data bytes one training step's graph holds at ``backward`` (the
+# ``tensor.nodes_per_step`` and ``tensor.graph_mb`` of perfbench), for the
+# acceptance config on its 16-utterance corpus.  A change that grows either
+# fails here; one that shrinks them updates the pin.
+GRAPH_PINS = {"novae": (249, 24_080_308), "global": (367, 32_669_784), "fine": (378, 34_933_544)}
+
+
+def test_train_step_graph_nodes_and_bytes_are_pinned(monkeypatch):
+    held = []
+
+    def recording_backward(loss):
+        nodes = pt._topo_order(loss)
+        held.append((len(nodes), sum(node.data.nbytes for node in nodes)))
+        backward(loss)
+
+    monkeypatch.setattr(training, "backward", recording_backward)
+    batch = make_batch(generate(OVERFIT_SPEC, 16))
+    for variant in GRAPH_PINS:
+        cfg = overfit_config(variant)
+        state = build_state(cfg, OVERFIT_SPEC.vocab_size, OVERFIT_SPEC.num_speakers,
+                            OVERFIT_SPEC.mel_bins, OVERFIT_SPEC.frame_rate)
+        train_step(state, batch, cfg, RandomSource(cfg.seed).for_step(1))
+    assert dict(zip(GRAPH_PINS, held)) == GRAPH_PINS
 
 
 def test_train_step_aborts_on_nonfinite(tiny_spec, tiny_corpus):
