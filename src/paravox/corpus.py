@@ -5,7 +5,8 @@ duration; silence and punctuation tokens get zero duration with a configured
 probability, decided as a pure function of (seed, token, speaker, position)
 so identical (text, speaker) inputs always reproduce identical targets.
 Targets are template concatenations with 2-frame linear cross-fades and a
-mild speaker-dependent amplitude envelope, clipped to [0, 1].
+mild speaker-dependent amplitude envelope, clipped to [0, 1] and rounded to
+float32, the precision the model trains in.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class Utterance:
     tokens: np.ndarray     # [N] ints
     speaker: int
     durations: np.ndarray  # [N] ints, frames per token (0 allowed)
-    mel: np.ndarray        # [sum(durations), mel_bins] float64 in [0, 1]
+    mel: np.ndarray        # [sum(durations), mel_bins] float32 in [0, 1]
 
     def __eq__(self, other):
         return (np.array_equal(self.tokens, other.tokens)
@@ -142,7 +143,7 @@ class SyntheticRules:
         period, phase = self.envelope[speaker]
         t = np.arange(mel.shape[0])
         amp = 1.0 + self.spec.envelope_depth * np.sin(2 * np.pi * t / period + phase)
-        return durations, np.clip(mel * amp[:, None], 0.0, 1.0)
+        return durations, np.clip(mel * amp[:, None], 0.0, 1.0).astype(np.float32)
 
 
 def generate(spec: CorpusSpec, count: int) -> list[Utterance]:
@@ -264,7 +265,7 @@ def read_corpus(path) -> tuple[list[Utterance], CorpusHeader]:
         if durations.sum() != frames:
             raise FormatError(f"{r.label}: utterance {i} has durations summing to "
                               f"{durations.sum()} frames but {frames} mel frames")
-        mel = r.f64_array((frames, header.mel_bins), f"utterance {i}")
+        mel = r.float_array((frames, header.mel_bins), f"utterance {i}", dtype=np.float32)
         out.append(Utterance(tokens, speaker, durations, mel))
     return out, header
 

@@ -75,7 +75,7 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+            total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
@@ -100,7 +100,10 @@ class NesterovMomentum:
             v = self.velocity[name]
             v *= mu
             v += g
-            p.data -= (lr * (g + mu * v)).astype(p.data.dtype)
+            u = v * mu
+            u += g
+            u *= lr
+            p.data -= u
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {f"velocity/{n}": v for n, v in self.velocity.items()}
@@ -476,7 +479,7 @@ def evaluate(model: SynthesisModel, utterances, mode: str = "teacher",
             for row, mel in zip(decided, _decode_rows(model, dur.hidden, decided)):
                 utt = utterances[idx[row]]
                 t = min(mel.shape[0], utt.mel.shape[0])
-                abs_err += float(np.abs(mel[:t] - utt.mel[:t]).sum())
+                abs_err += float(np.abs(np.subtract(mel[:t], utt.mel[:t], dtype=np.float64)).sum())
                 n_cells += t * utt.mel.shape[1]
                 length_err += abs(mel.shape[0] - utt.mel.shape[0])
                 if dump_dir is not None:

@@ -13,10 +13,10 @@ TINY_MODEL_KW = dict(
     fine_width=8, fine_blocks=1, fine_heads=2, fine_kernel=3, prior_hidden=8,
 )
 
-# A 35-byte checkpoint: one record "w" of rank 3 with extents
+# A 36-byte checkpoint: one f64 record "w" of rank 3 with extents
 # (0, 2**32 - 1, 2**32 - 1), so no values, and 8 stray bytes after it.  The
 # record holds no data, but numpy refuses its shape.
-ZERO_EXTENT_CKPT = (b"PVOXCKPT" + bytes([1]) + (1).to_bytes(4, "little") + b"w" + bytes([3])
+ZERO_EXTENT_CKPT = (b"PVOXCKPT" + bytes([2]) + (1).to_bytes(4, "little") + b"w" + bytes([8, 3])
                     + (0).to_bytes(4, "little") + (2 ** 32 - 1).to_bytes(4, "little") * 2
                     + bytes(8))
 

@@ -272,16 +272,18 @@ def test_rejected_resume_state_leaves_no_run_directory(tmp_path, novae_run, caps
     assert (out / "state.ckpt").exists()
 
 
-def test_checkpoint_of_impossible_extents_exits_2(tmp_path, novae_run, capsys):
+def assert_bad_checkpoint_exits_2(tmp_path, novae_run, capsys, data: bytes, named: str):
+    """``synth --ckpt`` and ``train --resume`` of ``data`` both exit 2 naming
+    the file and ``named``, and write nothing."""
     corpus, run = novae_run
     run = shutil.copytree(run, tmp_path / "run")
-    (run / "model.ckpt").write_bytes(ZERO_EXTENT_CKPT)
+    (run / "model.ckpt").write_bytes(data)
     capsys.readouterr()
     rc = main(["synth", "--ckpt", str(run / "model.ckpt"), "--text", "aa b",
                "--speaker", "0", "--out", str(tmp_path / "x.mel")])
     assert rc == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert str(run / "model.ckpt") in err and "record 'w'" in err
+    assert str(run / "model.ckpt") in err and named in err
     assert not (tmp_path / "x.mel").exists()
 
     cfg = write_tiny_train_config(tmp_path / "run.cfg", total_steps=4)
@@ -290,8 +292,18 @@ def test_checkpoint_of_impossible_extents_exits_2(tmp_path, novae_run, capsys):
                "--out", str(out), "--resume", str(run / "model.ckpt")])
     assert rc == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert str(run / "model.ckpt") in err and "record 'w'" in err
+    assert str(run / "model.ckpt") in err and named in err
     assert not out.exists()
+
+
+def test_checkpoint_of_impossible_extents_exits_2(tmp_path, novae_run, capsys):
+    assert_bad_checkpoint_exits_2(tmp_path, novae_run, capsys, ZERO_EXTENT_CKPT, "record 'w'")
+
+
+def test_version_1_checkpoint_exits_2(tmp_path, novae_run, capsys):
+    current = (novae_run[1] / "state.ckpt").read_bytes()
+    assert_bad_checkpoint_exits_2(tmp_path, novae_run, capsys,
+                                  current[:8] + bytes([1]) + current[9:], "version 1")
 
 
 def test_train_resume_from_model_checkpoint_is_runtime_error(tmp_path, corpus_dir, capsys):

@@ -138,7 +138,8 @@ def test_corpus_container_round_trip(tmp_path):
     assert header.num_speakers == spec.num_speakers
     assert len(back) == 7
     for a, b in zip(utts, back):
-        assert a == b  # bit-exact including float64 mel
+        assert a.mel.dtype == b.mel.dtype == np.float32
+        assert a == b  # bit-exact including the mel
 
 
 def test_empty_corpus_round_trips(tmp_path):

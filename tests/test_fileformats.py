@@ -30,24 +30,30 @@ def test_checkpoint_round_trip(tmp_path):
     assert back["meta/step"].shape == ()
     assert np.array_equal(back["transposed"], arrays["transposed"])
     assert np.array_equal(back["encoder.embedding"], arrays["encoder.embedding"])
-    # float32 values survive the float64 container exactly
-    assert np.array_equal(back["decoder.blocks.0.conv.kernel"].astype(np.float32),
+    assert np.array_equal(back["decoder.blocks.0.conv.kernel"],
                           arrays["decoder.blocks.0.conv.kernel"])
     assert back["meta/step"] == 42.0
 
 
 def test_checkpoint_layout_is_as_documented(tmp_path):
-    path = tmp_path / "one.ckpt"
-    ff.write_arrays(path, {"w": np.array([[1.0, 2.0]])})
+    path = tmp_path / "two.ckpt"
+    ff.write_arrays(path, {"w": np.array([[1.0, 2.0]]), "h": np.array([0.5], dtype=np.float32)})
     raw = path.read_bytes()
     assert raw[:8] == b"PVOXCKPT"
-    assert raw[8] == 1
+    assert raw[8] == 2
     assert int.from_bytes(raw[9:13], "little") == 1       # name length
     assert raw[13:14] == b"w"
-    assert raw[14] == 2                                    # rank
-    assert int.from_bytes(raw[15:19], "little") == 1      # extent 0
-    assert int.from_bytes(raw[19:23], "little") == 2      # extent 1
-    assert np.frombuffer(raw[23:], dtype="<f8").tolist() == [1.0, 2.0]
+    assert raw[14] == 8                                    # value width: f64
+    assert raw[15] == 2                                    # rank
+    assert int.from_bytes(raw[16:20], "little") == 1      # extent 0
+    assert int.from_bytes(raw[20:24], "little") == 2      # extent 1
+    assert np.frombuffer(raw[24:40], dtype="<f8").tolist() == [1.0, 2.0]
+    assert int.from_bytes(raw[40:44], "little") == 1
+    assert raw[44:45] == b"h"
+    assert raw[45] == 4                                    # value width: f32
+    assert raw[46] == 1
+    assert int.from_bytes(raw[47:51], "little") == 1
+    assert np.frombuffer(raw[51:], dtype="<f4").tolist() == [0.5]
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -93,8 +99,20 @@ def test_mel_unknown_version(tmp_path):
     assert "version 9" in str(exc.value)
 
 
-def ckpt_record(name: bytes, extents) -> bytes:
-    return (len(name).to_bytes(4, "little") + name + bytes([len(extents)])
+def test_checkpoint_of_version_1_is_format_error(tmp_path):
+    path = tmp_path / "old.ckpt"
+    ff.write_arrays(path, {"w": np.ones(2)})
+    raw = bytearray(path.read_bytes())
+    raw[8] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as exc:
+        ff.read_arrays(path)
+    assert str(path) in str(exc.value)
+    assert "version 1" in str(exc.value) and "reads 2" in str(exc.value)
+
+
+def ckpt_record(name: bytes, extents, width: int = 8) -> bytes:
+    return (len(name).to_bytes(4, "little") + name + bytes([width, len(extents)])
             + b"".join(e.to_bytes(4, "little") for e in extents))
 
 
@@ -102,10 +120,12 @@ def ckpt_record(name: bytes, extents) -> bytes:
     (ckpt_record(b"\xff\xfe", (1,)) + bytes(8), "not UTF-8"),
     (ckpt_record(b"w", (65536,) * 4) + bytes(8), "truncated"),  # 2**64 values: wraps to 0 in int64
     (ZERO_EXTENT_CKPT[9:], "record 'w'"),  # no values, but a shape numpy refuses
-], ids=["name-not-utf8", "extents-overflow", "zero-extent-too-big"])
+    (ckpt_record(b"w", (1,), width=2) + bytes(8), "record 'w' has value width 2"),
+    (2 * (ckpt_record(b"w", (1,), width=4) + bytes(4)), "record 'w' appears twice"),
+], ids=["name-not-utf8", "extents-overflow", "zero-extent-too-big", "bad-width", "duplicate-name"])
 def test_checkpoint_bad_record_is_format_error(tmp_path, record, named):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"PVOXCKPT" + bytes([1]) + record)
+    path.write_bytes(b"PVOXCKPT" + bytes([2]) + record)
     with pytest.raises(FormatError) as exc:
         ff.read_arrays(path)
     assert str(path) in str(exc.value) and named in str(exc.value)
@@ -114,6 +134,9 @@ def test_checkpoint_bad_record_is_format_error(tmp_path, record, named):
 # -- a seeded fuzz of the container readers -------------------------------------------
 
 READERS = {"checkpoint": ff.read_arrays, "mel": ff.read_mel, "corpus": corpus.read_corpus}
+# where the valid checkpoint's records keep their value width: "w" [2, 3] f32,
+# then "b" [3] f64, then "meta/step" [] f64
+CKPT_WIDTH_AT = (14, 53, 96)
 
 
 @functools.cache
@@ -123,24 +146,31 @@ def valid_containers() -> dict[str, bytes]:
     spec = corpus.CorpusSpec(num_speakers=2, min_tokens=2, max_tokens=3, mel_bins=8, seed=3)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        ff.write_arrays(root / "checkpoint", {"w": rng.normal(size=(2, 3)),
+        ff.write_arrays(root / "checkpoint", {"w": rng.normal(size=(2, 3)).astype(np.float32),
                                               "b": rng.normal(size=3), "meta/step": np.array(4.0)})
         ff.write_mel(root / "mel", rng.random((3, 4)))
         corpus.write_corpus(root / "corpus", corpus.generate(spec, 2), spec)
-        return {name: (root / name).read_bytes() for name in READERS}
+        out = {name: (root / name).read_bytes() for name in READERS}
+    assert [out["checkpoint"][at] for at in CKPT_WIDTH_AT] == [4, 8, 8]
+    return out
 
 
 @st.composite
 def corrupt_containers(draw):
     """(reader, bytes): a valid container cut short, bit-flipped, or with a
-    u32 (a count or an extent) written over it, at one to three places; most
-    places fall in the first 64 bytes, where the headers are."""
+    u32 (a count or an extent) or a checkpoint record's value width written
+    over it, at one to three places; most places fall in the first 64 bytes,
+    where the headers are."""
     reader = draw(st.sampled_from(sorted(READERS)))
     buf = bytearray(valid_containers()[reader])
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, 63) | st.integers(0, 2 ** 16)) % max(len(buf), 1)
-        kind = draw(st.sampled_from(["truncate", "flip", "overwrite"]))
-        if kind == "truncate":
+        kind = draw(st.sampled_from(["truncate", "flip", "overwrite", "width"]))
+        if kind == "width" and reader == "checkpoint":
+            at = draw(st.sampled_from(CKPT_WIDTH_AT))
+            if at < len(buf):
+                buf[at] = draw(st.sampled_from([0, 4, 8, 255]) | st.integers(0, 255))
+        elif kind == "truncate":
             del buf[at:]
         elif kind == "flip" and buf:
             buf[at] ^= 1 << draw(st.integers(0, 7))

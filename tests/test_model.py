@@ -193,6 +193,28 @@ def test_model_checkpoint_round_trip(tiny_spec, tiny_corpus, tmp_path):
     assert np.array_equal(after, reference)
 
 
+def test_checkpoint_keeps_each_array_at_its_width(tiny_spec, tmp_path):
+    standard = build(tiny_spec, "fine", seed=1)
+    write_arrays(tmp_path / "standard.ckpt", standard.state_arrays())
+    back = read_arrays(tmp_path / "standard.ckpt")
+    for name, own in standard.state_arrays().items():
+        assert back[name].dtype == np.float32
+        assert back[name].tobytes() == own.tobytes(), name
+
+    with pt.precision("high"):
+        high = build(tiny_spec, "fine", seed=2)
+        write_arrays(tmp_path / "high.ckpt", high.state_arrays())
+        back = read_arrays(tmp_path / "high.ckpt")
+        for name, own in high.state_arrays().items():
+            assert back[name].dtype == np.float64
+            assert np.array_equal(back[name], own), name
+
+        high.load_state_arrays(read_arrays(tmp_path / "standard.ckpt"))
+        for name, own in high.state_arrays().items():
+            assert own.dtype == np.float64
+            assert np.array_equal(own, standard.state_arrays()[name]), name
+
+
 def test_checkpoint_name_mismatch_rejected(tiny_spec, tmp_path):
     model = build(tiny_spec, "novae")
     arrays = model.state_arrays()
