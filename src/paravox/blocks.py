@@ -6,15 +6,17 @@ shared across channel groups ("heads"), then a 4x feedforward.  Both it and
 the self-attention block use pre-norm residual sublayers.  Masks are float
 [B, T] arrays (1 = valid).
 
-The two sequence blocks run their row-wise sublayers (norms, projections,
-GLU, feed-forward, dropout, residual adds) on the valid rows only, packed
-into [M, d] by ``Rows``.  The lightweight conv reads the packed rows too: it
-scatters them into its own zero-padded window buffer and returns packed rows.
-Only the attention unpacks to [B, T, d] (and packs its context again), and
-both blocks unpack once on exit; unpacking leaves exact zero rows at padding,
-so padding never leaks and is never masked again.  Without padding, packing
-is the identity.  Each ReLU and the dropout after it are one node
-(``pt.relu`` with a rate and a generator).
+Each feed-forward sublayer is one graph node (``pt.ff_sublayer``), and so is
+the lightweight-convolution sublayer (``pt.lconv_sublayer``); only the taps'
+softmax stays a node of its own.  The modules keep their parameters
+(``norm1``, ``glu_proj``, ``conv.kernel``, ``norm2``, ``ff1``, ``ff2``) and
+pass them to the fused op.  The two sequence blocks run on the valid rows
+only, packed into [M, d] by ``Rows``.  The lightweight-conv sublayer reads the
+packed rows too: it scatters them into its own zero-padded window buffer and
+returns packed rows.  Only the attention unpacks to [B, T, d] (and packs its
+context again), and both blocks unpack once on exit; unpacking leaves exact
+zero rows at padding, so padding never leaks and is never masked again.
+Without padding, packing is the identity.
 """
 
 from __future__ import annotations
@@ -89,30 +91,25 @@ class LayerNorm(Module):
 
 
 class LightweightConv(Module):
-    """Depthwise conv sharing one kernel per head, taps softmax-normalized.
-
-    Centered (non-causal) window with zero padding.  The input is [B, T, d]
-    with zero rows at padded positions, which then do not contribute (output
-    rows at padding are not zeroed), or the packed [M, d] valid rows of
-    ``rows``, which come back packed.
-    """
+    """The taps of a depthwise conv sharing one kernel per head, softmax-normalized
+    over a centered (non-causal) window; ``pt.lconv_sublayer`` applies them."""
 
     def __init__(self, dim: int, heads: int, kernel_size: int, rng: np.random.Generator):
         if dim % heads != 0:
             raise ShapeError(f"heads ({heads}) must divide channel count ({dim})")
         if kernel_size % 2 != 1:
             raise ShapeError(f"kernel width must be odd for a centered window, got {kernel_size}")
-        self.dim = dim
-        self.heads = heads
         self.kernel_size = kernel_size
         self.kernel = Parameter(rng.normal(0.0, 0.1, size=(heads, kernel_size)))
 
     def normalized_kernel(self) -> Tensor:
         return pt.softmax(self.kernel, axis=1)
 
-    def __call__(self, x: Tensor, rows: Rows | None = None) -> Tensor:
-        rows = Rows(None) if rows is None else rows
-        return pt.lightweight_conv(x, self.normalized_kernel(), rows.ids, rows.padded)
+
+def feed_forward(block, x: Tensor, rng) -> Tensor:
+    """x + FF(LN(x)) over a block's ``norm2``, ``ff1`` and ``ff2``, as one node."""
+    return pt.ff_sublayer(x, block.norm2.gain, block.norm2.bias, block.ff1.weight, block.ff1.bias,
+                          block.ff2.weight, block.ff2.bias, block.dropout, rng, block.norm2.eps)
 
 
 class LConvBlock(Module):
@@ -135,11 +132,10 @@ class LConvBlock(Module):
 
     def __call__(self, x: Tensor, mask=None, rng=None) -> Tensor:
         rows = Rows(mask)
-        x = rows.pack(x)
-        h = self.conv(pt.glu(self.glu_proj(self.norm1(x))), rows)
-        x = x + pt.dropout(h, self.dropout, rng)
-        f = pt.relu(self.ff1(self.norm2(x)), self.dropout, rng)
-        return rows.unpack(x + self.ff2(f))
+        x = pt.lconv_sublayer(rows.pack(x), self.norm1.gain, self.norm1.bias, self.glu_proj.weight,
+                              self.glu_proj.bias, self.conv.normalized_kernel(), rows.ids,
+                              rows.padded, self.dropout, rng, self.norm1.eps)
+        return rows.unpack(feed_forward(self, x, rng))
 
 
 class MultiHeadSelfAttention(Module):
@@ -180,8 +176,7 @@ class TransformerBlock(Module):
         rows = Rows(mask)
         x = rows.pack(x)
         x = x + pt.dropout(self.attn(self.norm1(x), rows), self.dropout, rng)
-        f = pt.relu(self.ff1(self.norm2(x)), self.dropout, rng)
-        return rows.unpack(x + self.ff2(f))
+        return rows.unpack(feed_forward(self, x, rng))
 
 
 class ConvBlock(Module):

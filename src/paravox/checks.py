@@ -27,14 +27,17 @@ def _weighted(out: Tensor, seed: int) -> Tensor:
 
 
 def check_tensor_ops() -> GradCheckReport:
-    """Element-wise ops and every fused op: a biased matmul, softmax,
-    layer_norm, a lightweight conv (odd width, one masked row), a strided
-    conv1d, an lstm (B=2, N=4), bce_with_logits, glu and a two-head attention
-    (one masked key), plus a row gather with negative (zero-row) ids and a
-    pack then unpack of the rows of a [2, 3] layout with two padded.  The
-    convs' input gradients are checked through ``w``, which feeds them; the
-    lstm's input, the bce logits and targets, the gather table, the glu input
-    and the attention's queries, keys and values are parameters of their own."""
+    """Every differentiable op of ``paravox.tensor``: the element-wise ops, a
+    biased matmul, softmax, layer_norm, a strided conv1d, an lstm (B=2, N=4),
+    bce_with_logits and a two-head attention (one masked key), plus a row
+    gather with negative (zero-row) ids.  The rows of a [2, 5] layout with one
+    padded row are packed, run through the lightweight-conv and feed-forward
+    sublayers (odd tap width, dropout from a generator seeded inside ``f``, so
+    every call draws the same masks) and unpacked again for the conv1d; so the
+    sublayers' input gradients are checked through ``w``, which feeds them.
+    The lstm's input, the bce logits and targets, the gather table, the
+    attention's queries, keys and values and the element-wise ops' input are
+    parameters of their own."""
     rng = np.random.default_rng(0)
     p = Module()  # the parameters, named by their attributes
     p.w = pt.Parameter(rng.normal(size=(6, 6)))
@@ -55,8 +58,7 @@ def check_tensor_ops() -> GradCheckReport:
     p.bce_targets = pt.Parameter(rng_extra.random((2, 5)))
     p.gather_table = pt.Parameter(rng_extra.normal(size=(4, 3)))
     ids = np.array([[0, 2, -1, 2], [3, -1, 1, 0]])
-    p.glu_input = pt.Parameter(rng_extra.normal(size=(2, 3, 4)))
-    valid_rows = np.array([0, 2, 3, 5])
+    valid_rows = np.flatnonzero(mask)
     rng_attn = np.random.default_rng(42)
     p.attn_q = pt.Parameter(rng_attn.normal(size=(2, 3, 4)))
     p.attn_k = pt.Parameter(rng_attn.normal(size=(2, 4, 4)))
@@ -64,21 +66,39 @@ def check_tensor_ops() -> GradCheckReport:
     key_mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=float)
     # zero, as a Linear's bias starts, so every other parameter's check keeps its bits
     p.matmul_bias = pt.Parameter(np.zeros(6))
+    rng_sub = np.random.default_rng(45)
+    p.lconv_gain = pt.Parameter(rng_sub.uniform(0.5, 1.5, size=6))
+    p.lconv_bias = pt.Parameter(rng_sub.normal(size=6) * 0.1)
+    p.lconv_w = pt.Parameter(rng_sub.normal(size=(6, 12)) * 0.5)
+    p.lconv_b = pt.Parameter(rng_sub.normal(size=12) * 0.1)
+    p.ff_gain = pt.Parameter(rng_sub.uniform(0.5, 1.5, size=6))
+    p.ff_bias = pt.Parameter(rng_sub.normal(size=6) * 0.1)
+    p.ff_w1 = pt.Parameter(rng_sub.normal(size=(6, 8)) * 0.5)
+    p.ff_b1 = pt.Parameter(rng_sub.normal(size=8) * 0.1)
+    p.ff_w2 = pt.Parameter(rng_sub.normal(size=(8, 6)) * 0.5)
+    p.ff_b2 = pt.Parameter(rng_sub.normal(size=6) * 0.1)
+    p.elementwise = pt.Parameter(rng_sub.normal(size=(2, 4)))
 
     def f():
+        drop = np.random.default_rng(44)
         h = pt.matmul(x, p.w, p.matmul_bias)
         h = pt.layer_norm(h, p.gain, p.bias)
         h = pt.softmax(h, axis=-1) + pt.sigmoid(h) + pt.softplus(h) + pt.tanh(h)
-        c = pt.lightweight_conv(blocks.apply_mask(h, mask), pt.softmax(p.lconv_taps, axis=1))
-        s = pt.conv1d(blocks.apply_mask(c, mask), p.conv1d_weight, p.conv1d_bias, stride=2)
+        c = pt.lconv_sublayer(pt.move_rows(h, valid_rows), p.lconv_gain, p.lconv_bias, p.lconv_w,
+                              p.lconv_b, pt.softmax(p.lconv_taps, axis=1), valid_rows, mask.shape,
+                              0.2, drop)
+        c = pt.ff_sublayer(c, p.ff_gain, p.ff_bias, p.ff_w1, p.ff_b1, p.ff_w2, p.ff_b2, 0.2, drop)
+        s = pt.conv1d(pt.move_rows(c, valid_rows, mask.shape), p.conv1d_weight, p.conv1d_bias,
+                      stride=2)
         r = pt.lstm(p.lstm_input, p.lstm_w_x, p.lstm_w_h, p.lstm_b)
         ce = pt.bce_with_logits(p.bce_logits, p.bce_targets)
         rows = pt.gather_rows(p.gather_table, ids)
-        packed = pt.move_rows(pt.glu(p.glu_input), valid_rows)
-        moved = pt.move_rows(packed * packed, valid_rows, (2, 3))
         att = pt.attention(p.attn_q, p.attn_k, p.attn_v, 2, key_mask)
+        e = p.elementwise
+        el = pt.concat([pt.exp(e) - pt.abs_(e), pt.relu(e, 0.3, drop) / (e * e + 1.5)], axis=1)
+        el = pt.expand(pt.reshape(el[:, ::2], (2, 1, 4)), (2, 3, 4))
         return (h * mix).sum() + _weighted(s, 31) + _weighted(r, 37) + _weighted(ce, 39) \
-            + _weighted(rows, 40) + _weighted(moved, 41) + _weighted(att, 43)
+            + _weighted(rows, 40) + _weighted(att, 43) + pt.dropout(el, 0.3, drop).mean()
 
     return grad_check(f, dict(p.named_parameters()))
 

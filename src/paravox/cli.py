@@ -65,10 +65,15 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _prepare_out_dir(path: str, force: bool) -> Path:
+def _check_out_dir(path: str, force: bool) -> Path:
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise UsageError(f"output directory {out} is not empty; pass --force to reuse it")
+    return out
+
+
+def _prepare_out_dir(path: str, force: bool) -> Path:
+    out = _check_out_dir(path, force)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -85,8 +90,9 @@ def cmd_gen(args) -> int:
     if problems:
         raise ConfigError(problems)
     started = time.time()
-    out = _prepare_out_dir(args.out, args.force)
-    utterances = corpus_mod.generate(spec, args.count)
+    out = _check_out_dir(args.out, args.force)
+    utterances = corpus_mod.generate(spec, args.count)  # before --out exists: a failure leaves none
+    out.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(out / "corpus.bin", utterances, spec)
     corpus_mod.write_corpus_text(out / "corpus.txt", utterances, spec)
     corpus_mod.write_inventory(out / "phonemes.txt", spec.vocabulary)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, VocabularyError
+from .errors import ConfigError, FormatError, VocabularyError
 from .fileformats import CORPUS_MAGIC, VERSION, _Reader, _check_header, _u32
 from .model import size_cap_problems
 
@@ -147,12 +147,19 @@ class SyntheticRules:
 
 
 def generate(spec: CorpusSpec, count: int) -> list[Utterance]:
-    """Sample utterances: words joined by silences, closed by punctuation."""
+    """Sample utterances: words joined by silences, closed by punctuation.
+
+    ConfigError when the spec cannot give ``count`` utterances: two spectral
+    templates too alike to tell apart, or no fresh utterance left to sample.
+    """
     if count < 1:
         raise ValueError(f"corpus size must be >= 1, got {count}")
     rules = SyntheticRules.build(spec)
-    if rules.min_template_distance() < 0.005:
-        raise ValueError("degenerate template set; pick a different corpus seed")
+    distance = rules.min_template_distance()
+    if distance < 0.005:
+        raise ConfigError([
+            f"two spectral templates are alike (mean distance {distance:.2g} < 0.005); "
+            f"raise mel_bins, lower num_speakers or change seed"])
     utterances = []
     seen = set()
     for index in range(count):
@@ -170,7 +177,10 @@ def generate(spec: CorpusSpec, count: int) -> list[Utterance]:
             utterances.append(Utterance(tokens, speaker, durations, mel))
             break
         else:
-            raise RuntimeError("could not sample a fresh utterance after 100 attempts")
+            raise ConfigError([
+                f"no fresh utterance for #{index + 1} of {count} after 100 attempts; raise "
+                f"max_tokens or num_speakers, lower zero_duration_prob or ask for fewer "
+                f"utterances"])
     return utterances
 
 

@@ -21,28 +21,39 @@ is read-only: only the node's own closure reads it, and a second contribution
 is summed into a new array laid out like the first.  Leaves own a private copy,
 because the optimizer and gradient clipping update ``.grad`` in place.
 
-The hot network ops are fused: ``softmax``, ``glu``, ``layer_norm``,
-``conv1d`` (im2col and one matmul), ``lightweight_conv`` (a sliding window and
-one contraction), ``lstm`` (one input GEMM over all steps, then the recurrence
-in numpy), ``attention`` (every head's scores, mask, softmax and context),
-``dropout`` and ``bce_with_logits`` are each a single graph node with a
-hand-written numpy backward.  ``matmul`` takes an optional bias, added in
-place to the fresh product, so a Linear layer is one node too; its backward
-reduces the output gradient to the bias as a separate add node would.  A
-contraction raises ShapeError naming its operands' shapes when they do not
-fit.  The module holds only the ops that some command runs.
+The hot network ops are fused: ``softmax``, ``layer_norm``, ``conv1d``
+(im2col and one matmul), ``lstm`` (one input GEMM over all steps, then the
+recurrence in numpy), ``attention`` (every head's scores, mask, softmax and
+context), ``dropout`` and ``bce_with_logits`` are each a single graph node
+with a hand-written numpy backward.  So are the two residual sublayers of the
+sequence blocks: ``ff_sublayer`` (layer norm, a dense layer, ReLU with its
+dropout, a dense layer and the residual add) and ``lconv_sublayer`` (layer
+norm, the GLU's dense layer, the GLU, a lightweight convolution as a sliding
+window and one contraction, dropout and the residual add).  ``matmul`` takes
+an optional bias, added in place to the fresh product, so a Linear layer is
+one node too; its backward reduces the output gradient to the bias as a
+separate add node would.  A fused op evaluates every expression of the
+composite it replaces in that composite's order, so its values, gradients
+and madds are the composite's bit for bit.  A contraction raises ShapeError
+naming its operands' shapes when they do not fit.  The module holds only the
+ops that some command runs.
 
 What a node keeps for its backward sets what a training step holds, so the
 fused nodes keep little: ``dropout`` keeps its boolean keep mask, one byte
-per element, and rebuilds the scaled mask where a product needs it;
-``relu`` given a rate and a generator is the ReLU and the dropout after it in
-one node, keeping that mask and its input (which the op before holds anyway),
-so the ReLU's own output, which no backward reads, is never held; and
-``lightweight_conv`` keeps its zero-padded window buffer, into which it
-scatters packed [M, d] rows directly, so no [B, T, d] unpacked input or
-output is held beside it.
+per element, and rebuilds the scaled mask where a product needs it; ``relu``
+given a rate and a generator is the ReLU and the dropout after it in one
+node, keeping that mask and its input.  ``ff_sublayer`` keeps the norm's
+normalized rows and inverse deviations, the ReLU output (for the second
+weight's gradient) and one boolean mask, kept and positive; its [M, 4d]
+pre-activation, norm output and residual sum are never held.
+``lconv_sublayer`` keeps the norm's normalized rows and inverse deviations,
+the GLU projection, its zero-padded window buffer (into which it scatters
+packed [M, d] rows directly, so no [B, T, d] unpacked input or output is held
+beside it) and the dropout's keep mask.  Both recompute the norm output in
+backward, and the conv sublayer the GLU sigmoid, by the forward's
+expressions.
 
-The logistic sigmoid (in ``sigmoid``, ``glu``, softplus's backward, the lstm
+The logistic sigmoid (in ``sigmoid``, the GLU, softplus's backward, the lstm
 and ``bce_with_logits``) is branch-free and exact: with s = 1 / (1 + e^-|z|)
 in [0.5, 1], s - 0.5 and 1 - s are exact (Sterbenz), so 0.5 + copysign(s -
 0.5, z) is exactly the s or 1 - s that a select on the sign of z would pick.
@@ -55,16 +66,17 @@ Multiply-add counting: each forward op adds its cost to a global counter so
 callers can compare decoder variants by exact operation counts instead of
 wall clock.  Contractions count their multiply-adds: ``matmul`` k*n per row
 plus one per output element for a bias, ``conv1d`` k*d_in*d_out per output
-frame, ``lightweight_conv`` k per element of the padded [B, T, d] grid (also
-when it reads packed rows), ``lstm`` B*N*4H*(d_in+H)
-for its input and recurrent projections, and ``attention`` B*h*Tq*Tk*(dk+dv)
-plus one per score for each of its scale, key mask and softmax.  Element-wise
-ops (``bce_with_logits`` among them), ``softmax``, ``layer_norm`` and
+frame, the lightweight convolution k per element of the padded [B, T, d] grid
+(also when it reads packed rows), ``lstm`` B*N*4H*(d_in+H) for its input and
+recurrent projections, and ``attention`` B*h*Tq*Tk*(dk+dv) plus one per score
+for each of its scale, key mask and softmax.  Element-wise ops
+(``bce_with_logits`` among them), ``softmax``, ``layer_norm`` and
 ``gather_rows`` count one per output element, so the upsampler's frame gather
-costs T*d per utterance; ``glu`` counts two, its sigmoid and its product,
-and so does ``relu`` with dropout, its max and its mask product.
-``sum_`` counts one per input element, and shape ops (reshape, concat,
-slicing, expand, ``move_rows``) nothing.
+costs T*d per utterance; ``relu`` with dropout counts two, its max and its
+mask product, and so does the GLU, its sigmoid and its product.  A fused
+sublayer counts what its composite's nodes count.  ``sum_`` counts one per
+input element, and shape ops (reshape, concat, slicing, expand,
+``move_rows``) nothing.
 """
 
 from __future__ import annotations
@@ -414,24 +426,37 @@ def matmul(a, b, bias=None) -> Tensor:
         raise ShapeError(f"matmul needs a rank >= 2 operand [..., k], a [k, n] weight and an "
                          f"optional [n] bias, got {a.shape}, {b.shape} and "
                          f"{None if bias is None else bias.shape}")
-    rows = a.data.reshape(-1, a.shape[-1])
-    out_data = rows @ b.data
-    if bias is not None:
-        out_data += bias.data
-    out_data = out_data.reshape(a.shape[:-1] + b.shape[-1:])
+    out_data = _dense(a.data, b, bias)
 
     def bw(g):
-        g_rows = g.reshape(-1, g.shape[-1])
-        if not a.const:
-            a._accum((g_rows @ b.data.T).reshape(a.data.shape))
-        if not b.const:
-            b._accum(rows.T @ g_rows)
-        if bias is not None and not bias.const:
-            bias._accum(_unbroadcast(g, bias.data.shape))
+        g_a = _dense_backward(g, a.data, b, bias, not a.const)
+        if g_a is not None:
+            a._accum(g_a)
 
     if bias is None:
         return _make(out_data, (a, b), bw, madds=out_data.size * a.shape[-1])
     return _make(out_data, (a, b, bias), bw, madds=out_data.size * (a.shape[-1] + 1))
+
+
+def _dense(a: np.ndarray, w: Tensor, bias: Tensor | None) -> np.ndarray:
+    """``a`` [..., k] times a [k, n] weight as one 2-D GEMM over a's rows, plus
+    an optional [n] bias added in place to the product."""
+    out = a.reshape(-1, a.shape[-1]) @ w.data
+    if bias is not None:
+        out += bias.data
+    return out.reshape(a.shape[:-1] + w.shape[-1:])
+
+
+def _dense_backward(g, a: np.ndarray, w: Tensor, bias: Tensor | None, need_input: bool):
+    """Accumulate the weight and bias gradients of ``_dense(a, w, bias)`` for
+    the output gradient ``g``, the bias's reduced as a separate add node's
+    would be; returns the input gradient when asked for it."""
+    g_rows = g.reshape(-1, g.shape[-1])
+    if not w.const:
+        w._accum(a.reshape(-1, a.shape[-1]).T @ g_rows)
+    if bias is not None and not bias.const:
+        bias._accum(_unbroadcast(g, bias.data.shape))
+    return (g_rows @ w.data.T).reshape(a.shape) if need_input else None
 
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
@@ -642,30 +667,6 @@ def attention(q, k, v, heads: int, key_mask=None) -> Tensor:
     return _make(out_data, (q, k, v), bw, madds=b * heads * tq * tk * per_score)
 
 
-def glu(x) -> Tensor:
-    """Gated linear unit over the last axis: a * sigmoid(b) for the halves [a | b].
-
-    The backward writes both halves' gradients into one buffer, g * s for
-    ``a`` and g * a * s * (1 - s) for ``b``, each evaluated in the order the
-    slice, sigmoid and product composite evaluates it.
-    """
-    x = _lift(x)
-    if x.shape[-1] % 2 != 0:
-        raise ShapeError(f"glu needs an even last axis, got shape {x.shape}")
-    d = x.shape[-1] // 2
-    a = x.data[..., :d]
-    s = _sigmoid(x.data[..., d:])
-
-    def bw(g):
-        buf = np.empty_like(x.data)
-        buf[..., :d] = g * s
-        buf[..., d:] = g * a * s * (1.0 - s)
-        x._accum(buf)
-
-    out_data = a * s
-    return _make(out_data, (x,), bw, madds=2 * out_data.size)
-
-
 def _mean_last(z: np.ndarray) -> np.ndarray:
     """``z.mean(axis=-1, keepdims=True)`` by the arithmetic numpy's Python
     ``_mean`` runs, a sum and then a division by the count as an intp, cast
@@ -674,27 +675,88 @@ def _mean_last(z: np.ndarray) -> np.ndarray:
     return np.true_divide(total, np.intp(z.shape[-1]), out=total, casting="unsafe")
 
 
+def _norm(x: np.ndarray, eps: float):
+    """Layer norm's normalized rows and inverse deviations, (x - mean) * inv."""
+    normed = x - _mean_last(x)
+    inv = (_mean_last(normed * normed) + eps) ** -0.5
+    normed *= inv
+    return normed, inv
+
+
+def _affine(normed: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    out = normed * gain.data
+    out += bias.data
+    return out
+
+
+def _norm_backward(g, normed, inv, x: Tensor, gain: Tensor, bias: Tensor) -> None:
+    """Accumulate layer norm's gradients for the output gradient ``g``."""
+    if not x.const:
+        gn = g * gain.data
+        x._accum(inv * (gn - _mean_last(gn) - normed * _mean_last(gn * normed)))
+    if not gain.const:
+        gain._accum(_unbroadcast(g * normed, gain.data.shape))
+    if not bias.const:
+        bias._accum(_unbroadcast(g, bias.data.shape))
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
     if gain.shape[-1] != x.shape[-1]:
         raise ShapeError(f"layer_norm gain extent {gain.shape} does not match feature extent {x.shape[-1]}")
-    normed = x.data - _mean_last(x.data)
-    inv = (_mean_last(normed * normed) + eps) ** -0.5
-    normed *= inv
-    out_data = normed * gain.data
-    out_data += bias.data
+    normed, inv = _norm(x.data, eps)
+    return _make(_affine(normed, gain, bias), (x, gain, bias),
+                 lambda g: _norm_backward(g, normed, inv, x, gain, bias))
+
+
+def ff_sublayer(x, gain, bias, w1, b1, w2, b2, rate: float = 0.0,
+                rng: np.random.Generator | None = None, eps: float = 1e-6) -> Tensor:
+    """The pre-norm feed-forward residual sublayer as one node:
+    ``x + relu_dropout(LN(x) @ w1 + b1) @ w2 + b2``, ``x`` being [..., d].
+
+    It runs the layer_norm, matmul, relu (with its dropout), matmul and add
+    composite's expressions in that order, draws and counts as it does, and
+    gives ``x`` the residual gradient before the norm path's.  It keeps what
+    the module docstring lists and recomputes the norm output for ``w1``'s
+    gradient.
+    """
+    x, gain, bias, w1, b1, w2, b2 = (_lift(t) for t in (x, gain, bias, w1, b1, w2, b2))
+    d = x.shape[-1] if x.ndim else 0
+    if (x.ndim < 2 or gain.shape != (d,) or bias.shape != (d,) or w1.ndim != 2
+            or w1.shape[0] != d or b1.shape != w1.shape[1:] or w2.shape != w1.shape[::-1]
+            or b2.shape != (d,)):
+        raise ShapeError(f"ff_sublayer needs x [..., d], norm gain and bias [d], w1 [d, n], "
+                         f"b1 [n], w2 [n, d] and b2 [d]; got {x.shape}, {gain.shape}, "
+                         f"{bias.shape}, {w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}")
+    normed, inv = _norm(x.data, eps)
+    hidden = _dense(_affine(normed, gain, bias), w1, b1)
+    positive = hidden > 0 if _state["grad"] else None  # under no_grad the node keeps nothing
+    np.maximum(hidden, 0.0, out=hidden)  # the pre-activation is read only for its sign
+    dropping = rng is not None and rate > 0.0
+    if dropping:
+        kept, scale = _draw_keep(hidden.shape, rate, rng)
+        hidden *= kept * scale
+        if positive is not None:
+            positive &= kept
+    out_data = _dense(hidden, w2, b2)
+    np.add(x.data, out_data, out=out_data)
+    # the norm and the add, the first matmul and the relu, the second matmul
+    madds = 2 * x.size + hidden.size * (d + 2 + dropping) + out_data.size * (w1.shape[1] + 1)
 
     def bw(g):
         if not x.const:
-            gn = g * gain.data
-            x._accum(inv * (gn - _mean_last(gn) - normed * _mean_last(gn * normed)))
-        if not gain.const:
-            gain._accum(_unbroadcast(g * normed, gain.data.shape))
-        if not bias.const:
-            bias._accum(_unbroadcast(g, bias.data.shape))
+            x._accum(g)
+        norm_path = not (x.const and gain.const and bias.const)
+        g_hidden = _dense_backward(g, hidden, w2, b2, norm_path or not (w1.const and b1.const))
+        if g_hidden is None:
+            return
+        g_hidden *= positive * scale if dropping else positive
+        g_normed = _dense_backward(g_hidden, _affine(normed, gain, bias), w1, b1, norm_path)
+        if g_normed is not None:
+            _norm_backward(g_normed, normed, inv, x, gain, bias)
 
-    return _make(out_data, (x, gain, bias), bw)
+    return _make(out_data, (x, gain, bias, w1, b1, w2, b2), bw, madds=madds)
 
 
 def _pad_time(z: np.ndarray, left: int, right: int) -> np.ndarray:
@@ -714,60 +776,107 @@ def _time_windows(zp: np.ndarray, k: int) -> np.ndarray:
                                            writeable=False)
 
 
-def lightweight_conv(x, kernel, ids=None, padded=None) -> Tensor:
-    """Centered depthwise convolution of [B, T, d] with per-head taps [h, k].
-
-    Channel c uses the taps of head c // (d / h) (heads are contiguous channel
-    groups); k is odd and both ends are zero padded, so
-    out[:, t] = sum_j kernel[head, j] * x[:, t + j - k // 2].  Forward and
-    backward are each a sliding window and one contraction over the taps.
-
-    With ``ids`` and ``padded`` = (B, T), as ``move_rows`` takes them, ``x``
-    is the [M, d] packed rows and so is the result: the rows are scattered
-    straight into the zero-padded window buffer, and the output and input
-    gradient rows are gathered from the [B, T, d] grid.  The result is the
-    unpack, convolve, pack composite's bit for bit: the kernel gradient is
-    summed over the whole grid, and the madds are counted over it.
-    """
-    x, kernel = _lift(x), _lift(kernel)
-    h, k = kernel.shape
-    d = x.shape[-1]
-    if (d % h != 0 or k % 2 != 1 or x.ndim != (3 if ids is None else 2)
-            or (ids is not None and len(ids) != x.shape[0])):
-        raise ShapeError(f"lightweight_conv needs heads dividing channels, an odd width and "
-                         f"[B, T, d] or [M, d] packed rows; got input {x.shape}, taps "
-                         f"{kernel.shape} and {None if ids is None else len(ids)} row ids")
-    b, t = x.shape[:2] if ids is None else padded
+def _lconv_pad(z: np.ndarray, k: int, ids=None, padded=None) -> np.ndarray:
+    """The zero-padded [B, T + k - 1, d] window buffer of a centered width-k
+    convolution over [B, T, d] rows ``z``, or over the packed [M, d] rows
+    ``z`` that ``ids`` pick from a ``padded`` = (B, T) grid, scattered
+    straight into the buffer."""
     if ids is None:
-        zp = _pad_time(x.data, k // 2, k // 2)
-    else:
-        zp = np.zeros((b, t + k - 1, d), dtype=x.data.dtype)
-        zp.reshape(-1, d)[ids + ids // t * (k - 1) + k // 2] = x.data
+        return _pad_time(z, k // 2, k // 2)
+    (b, t), d = padded, z.shape[-1]
+    zp = np.zeros((b, t + k - 1, d), dtype=z.dtype)
+    zp.reshape(-1, d)[ids + ids // t * (k - 1) + k // 2] = z
+    return zp
 
-    def windows(z):  # [B, T, h, d/h, k]
-        return _time_windows(z, k).reshape(b, t, h, d // h, k)
 
-    win = windows(zp)
-    out_data = np.matmul(win, kernel.data[:, :, None]).reshape(b, t, d)
+def _lconv_windows(zp: np.ndarray, heads: int, k: int) -> np.ndarray:
+    """A window buffer -> its [B, T, h, d/h, k] view of every k-frame window."""
+    b, tp, d = zp.shape
+    return _time_windows(zp, k).reshape(b, tp - k + 1, heads, d // heads, k)
+
+
+def _lconv(zp: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The centered depthwise convolution, [B, T, d], of a window buffer with
+    per-head taps [h, k]: channel c uses the taps of head c // (d / h), so
+    out[:, t] = sum_j taps[head, j] * z[:, t + j - k // 2]."""
+    h, k = taps.shape
+    b, tp, d = zp.shape
+    return np.matmul(_lconv_windows(zp, h, k), taps[:, :, None]).reshape(b, tp - k + 1, d)
+
+
+def lconv_sublayer(x, gain, bias, w, b, taps, ids=None, padded=None, rate: float = 0.0,
+                   rng: np.random.Generator | None = None, eps: float = 1e-6) -> Tensor:
+    """The pre-norm lightweight-convolution residual sublayer as one node:
+    ``x + dropout(lconv(glu(LN(x) @ w + b)))``, with softmax-normalized taps
+    [h, k] (h dividing d, k odd) and the GLU a * sigmoid(c) over the halves
+    [a | c] of the projection.
+
+    ``x`` is [B, T, d], or with ``ids`` and ``padded`` = (B, T), as
+    ``move_rows`` takes them, the packed [M, d] rows, and the result is laid
+    out as ``x``; the taps' gradient and the conv's madds cover the whole
+    [B, T, d] grid.  It runs the layer_norm, matmul, glu, lightweight conv,
+    dropout and add composite's expressions in that order, draws and counts
+    as it does, and gives ``x`` the residual gradient before the norm path's.
+    It keeps what the module docstring lists and recomputes the norm output
+    and the GLU sigmoid.
+    """
+    x, gain, bias, w, b, taps = (_lift(t) for t in (x, gain, bias, w, b, taps))
+    d = x.shape[-1] if x.ndim else 0
+    if (x.ndim != (3 if ids is None else 2) or gain.shape != (d,) or bias.shape != (d,)
+            or w.shape != (d, 2 * d) or b.shape != (2 * d,) or taps.ndim != 2
+            or taps.shape[0] < 1 or d % taps.shape[0] or taps.shape[1] % 2 != 1
+            or (ids is not None and len(ids) != x.shape[0])):
+        raise ShapeError(f"lconv_sublayer needs x [B, T, d] or [M, d] packed rows, norm gain and "
+                         f"bias [d], w [d, 2d], b [2d] and taps [h, k], h dividing d and k odd; "
+                         f"got {x.shape}, {gain.shape}, {bias.shape}, {w.shape}, {b.shape}, "
+                         f"{taps.shape} and {None if ids is None else len(ids)} row ids")
+    h, k = taps.shape
+    grid = x.shape[:2] if ids is None else tuple(padded)
+    normed, inv = _norm(x.data, eps)
+    proj = _dense(_affine(normed, gain, bias), w, b)
+    zp = _lconv_pad(proj[..., :d] * _sigmoid(proj[..., d:]), k, ids, grid)  # the GLU
+    conv = _lconv(zp, taps.data)
+    if ids is not None:
+        conv = conv.reshape(-1, d)[ids]
+    dropping = rng is not None and rate > 0.0
+    if dropping:
+        kept, scale = _draw_keep(conv.shape, rate, rng)
+        conv *= kept * scale
+    out_data = np.add(x.data, conv, out=conv)
+    # the norm, the glu's sigmoid and product, the add and the dropout; the matmul;
+    # the conv over the grid
+    madds = x.size * (4 + dropping) + proj.size * (d + 1) + grid[0] * grid[1] * d * k
 
     def bw(g):
-        if ids is not None:  # the gradient rows on the [B, T, d] grid, zero at padding
-            full = np.zeros((b * t, d), dtype=g.dtype)
-            full[ids] = g
-            g = full.reshape(b, t, d)
-        if not kernel.const:
-            kernel._accum(np.matmul(g.reshape(b, t, h, 1, d // h), win).sum(axis=(0, 1)).reshape(h, k))
         if not x.const:
-            # x[:, s] reaches out[:, s - j + k // 2] through tap j: correlate the
-            # padded gradient with the tap-reversed kernel
-            flipped = np.ascontiguousarray(kernel.data[:, ::-1, None])
-            g_x = np.matmul(windows(_pad_time(g, k // 2, k // 2)), flipped)
-            x._accum(g_x.reshape(b, t, d) if ids is None else g_x.reshape(-1, d)[ids])
+            x._accum(g)
+        g_conv = g * (kept * scale) if dropping else g
+        if ids is not None:  # the gradient rows on the [B, T, d] grid, zero at padding
+            full = np.zeros((grid[0] * grid[1], d), dtype=g_conv.dtype)
+            full[ids] = g_conv
+            g_conv = full
+        g_conv = g_conv.reshape(grid + (d,))
+        if not taps.const:
+            g_taps = np.matmul(g_conv.reshape(grid + (h, 1, d // h)), _lconv_windows(zp, h, k))
+            taps._accum(g_taps.sum(axis=(0, 1)).reshape(h, k))
+        norm_path = not (x.const and gain.const and bias.const)
+        if not norm_path and w.const and b.const:
+            return
+        # glu[:, s] reaches out[:, s - j + k // 2] through tap j: correlate the
+        # padded gradient with the tap-reversed kernel
+        flipped = np.ascontiguousarray(taps.data[:, ::-1, None])
+        g_glu = np.matmul(_lconv_windows(_pad_time(g_conv, k // 2, k // 2), h, k), flipped)
+        g_glu = g_glu.reshape(grid + (d,)) if ids is None else g_glu.reshape(-1, d)[ids]
+        a = proj[..., :d]
+        s = _sigmoid(proj[..., d:])
+        g_proj = np.empty_like(proj)
+        g_proj[..., :d] = g_glu * s
+        g_proj[..., d:] = g_glu * a * s * (1.0 - s)
+        g_normed = _dense_backward(g_proj, _affine(normed, gain, bias), w, b, norm_path)
+        if g_normed is not None:
+            _norm_backward(g_normed, normed, inv, x, gain, bias)
 
-    madds = out_data.size * k
-    if ids is not None:
-        out_data = out_data.reshape(-1, d)[ids]
-    return _make(out_data, (x, kernel), bw, madds=madds)
+    return _make(out_data, (x, gain, bias, w, b, taps), bw, madds=madds)
 
 
 def conv1d(x, weight, bias, stride: int = 1) -> Tensor:

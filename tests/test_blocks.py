@@ -51,12 +51,16 @@ def test_sinusoid_odd_dim_rejected():
 
 # -- lightweight convolution ----------------------------------------------------
 
+def lconv(conv, x):
+    """The module's softmax-normalized taps over [B, T, d] rows, zero padded."""
+    return pt._lconv(pt._lconv_pad(x, conv.kernel_size), conv.normalized_kernel().data)
+
+
 def test_lconv_kernel_width_one_is_identity():
     rng = np.random.default_rng(0)
     conv = blocks.LightweightConv(6, 2, 1, rng)
-    x = Tensor(rng.normal(size=(2, 4, 6)))
-    out = conv(x)
-    assert np.array_equal(out.data, x.data)
+    x = rng.normal(size=(2, 4, 6))
+    assert np.array_equal(lconv(conv, x), x)
 
 
 def test_lconv_uniform_kernel_averages_constant_input():
@@ -64,11 +68,10 @@ def test_lconv_uniform_kernel_averages_constant_input():
     conv = blocks.LightweightConv(4, 2, 3, rng)
     conv.kernel.data[:] = 0.0  # softmax -> 1/3 per tap
     c = 1.8
-    x = Tensor(np.full((1, 6, 4), c))
-    out = conv(x)
-    assert np.allclose(out.data[0, 1:-1], c, atol=1e-12)
-    assert np.allclose(out.data[0, 0], 2 * c / 3, atol=1e-12)
-    assert np.allclose(out.data[0, -1], 2 * c / 3, atol=1e-12)
+    out = lconv(conv, np.full((1, 6, 4), c))
+    assert np.allclose(out[0, 1:-1], c, atol=1e-12)
+    assert np.allclose(out[0, 0], 2 * c / 3, atol=1e-12)
+    assert np.allclose(out[0, -1], 2 * c / 3, atol=1e-12)
 
 
 def test_lconv_taps_sum_to_one():
@@ -211,9 +214,10 @@ def op_counts(out: Tensor) -> dict:
 def test_blocks_without_padding_add_no_pack_node_and_no_mask_multiply(kind):
     # op nodes with mask None, with an all-ones mask and with padding (a pack
     # and an unpack, plus two more around the transformer's attention; the
-    # lightweight conv reads packed rows); the attention is one node with or
-    # without a mask
-    expected = {"lconv": (11, 11, 13), "transformer": (12, 12, 16)}[kind]
+    # lightweight-conv sublayer reads packed rows); each sublayer but the
+    # attention's is one node, and the attention is one node with or without a
+    # mask
+    expected = {"lconv": (3, 3, 5), "transformer": (8, 8, 12)}[kind]
     if kind == "lconv":
         blk = blocks.LConvBlock(8, 2, 3, np.random.default_rng(40))
     else:

@@ -114,6 +114,25 @@ def test_gen_spec_beyond_a_size_cap_exits_1(tmp_path, capsys, key, cap):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("num_speakers = 1\nmin_tokens = 1\nmax_tokens = 1\n", ["max_tokens", "num_speakers"]),
+    ("mel_bins = 1\nnum_speakers = 50\n", ["mel_bins", "num_speakers"]),
+], ids=["too-few-distinct-utterances", "alike-templates"])
+def test_gen_spec_that_cannot_give_the_count_exits_1(tmp_path, capsys, text, named):
+    """Specs that pass validation but cannot yield --count utterances: a config
+    error naming the keys to change, no traceback, and no --out made."""
+    spec = tmp_path / "thin.spec"
+    spec.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["gen", "--spec", str(spec), "--count", "200", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    line = next(line for line in err.splitlines() if line.startswith("error:"))
+    assert all(name in line for name in named)
+    assert not out.exists()
+
+
 def test_train_synth_round_trip(tmp_path, corpus_dir):
     cfg = write_tiny_train_config(tmp_path / "run.cfg")
     run = tmp_path / "run"

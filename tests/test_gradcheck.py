@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import paravox.tensor as pt
+from paravox import checks
 from paravox.errors import NonDeterministicError
 from paravox.gradcheck import grad_check
 from paravox.tensor import Parameter, Tensor
@@ -77,3 +80,28 @@ def test_report_table_formatting():
     report = grad_check(lambda: (w * w).sum(), {"w": w})
     table = report.format_table()
     assert "parameter" in table and "w" in table and "ok" in table
+
+
+def differentiable_ops():
+    """The public functions of paravox.tensor that build a graph node: those
+    annotated to return a Tensor, except ``constant``, which makes a leaf."""
+    return sorted(name for name, f in vars(pt).items()
+                  if inspect.isfunction(f) and f.__module__ == pt.__name__
+                  and not name.startswith("_") and name != "constant"
+                  and inspect.signature(f).return_annotation == "Tensor")
+
+
+def test_tensor_check_reaches_every_differentiable_op(monkeypatch):
+    """The finite-difference registry covers every op: ``check_tensor_ops``
+    calls each one, directly, through another op or through operator sugar."""
+    ops = differentiable_ops()
+    assert {"matmul", "relu", "dropout", "ff_sublayer", "lconv_sublayer"} <= set(ops)
+    calls = dict.fromkeys(ops, 0)
+    for name in ops:
+        def counted(*args, _name=name, _op=getattr(pt, name), **kwargs):
+            calls[_name] += 1
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(pt, name, counted)
+    report = checks.check_tensor_ops()
+    assert report.passed
+    assert [name for name, n in calls.items() if n == 0] == []

@@ -476,7 +476,11 @@ MULTI_PARENT_OPS = {
     "concat": (lambda a, b: pt.concat([a, b], axis=1), [(2, 3), (2, 2)]),
     "conv1d": (lambda x, w, b: pt.conv1d(x, w, b, stride=2), [(2, 5, 3), (3, 3, 4), (4,)]),
     "layer_norm": (pt.layer_norm, [(2, 3, 4), (4,), (4,)]),
-    "lightweight_conv": (pt.lightweight_conv, [(2, 5, 4), (2, 3)]),
+    "ff_sublayer": (lambda *a: pt.ff_sublayer(*a, 0.2, np.random.default_rng(3)),
+                    [(2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,)]),
+    "lconv_sublayer": (lambda *a: pt.lconv_sublayer(*a, np.array([0, 1, 3, 4]), (2, 3), 0.2,
+                                                    np.random.default_rng(3)),
+                       [(4, 4), (4,), (4,), (4, 8), (8,), (2, 3)]),
     "lstm": (pt.lstm, [(2, 3, 2), (2, 8), (2, 8), (8,)]),
     "bce_with_logits": (pt.bce_with_logits, [(2, 3), (2, 3)]),
 }
@@ -627,18 +631,6 @@ def check_fused(op, reference, inputs, seed):
         assert np.allclose(p.grad, numeric, atol=1e-7)
 
 
-@pytest.mark.parametrize("heads,k,t", [(2, 3, 5), (3, 5, 4), (1, 1, 3), (2, 7, 2)])
-def test_lightweight_conv_matches_tap_loop(heads, k, t):
-    rng = np.random.default_rng(k + t)
-    x = rng.normal(size=(2, t, 6))
-    taps = rng.normal(size=(heads, k))
-    check_fused(pt.lightweight_conv, reference_lightweight_conv, [x, taps], seed=1)
-    pt.reset_madds()
-    with pt.no_grad():
-        pt.lightweight_conv(Tensor(x), Tensor(taps))
-    assert pt.madds() == x.size * k
-
-
 @pytest.mark.parametrize("k,stride,t", [(3, 1, 5), (5, 1, 4), (3, 2, 7), (3, 2, 6), (1, 3, 5)])
 def test_conv1d_matches_tap_loop(k, stride, t):
     rng = np.random.default_rng(10 * k + stride)
@@ -715,32 +707,6 @@ def test_lstm_rejects_mismatched_weights():
                 Tensor(np.zeros(12)))
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 8), (5, 4)])
-def test_glu_matches_slice_sigmoid_product(shape):
-    rng = np.random.default_rng(len(shape))
-    data = rng.normal(size=shape) * 3.0
-    weights = Tensor(rng.normal(size=shape[:-1] + (shape[-1] // 2,)))
-    d = shape[-1] // 2
-    results = []
-    for op in (pt.glu, lambda x: x[..., :d] * pt.sigmoid(x[..., d:])):
-        x = Parameter(data.copy())
-        out = op(x)
-        backward((out * weights).sum())
-        results.append((out.data, x.grad))
-    (fused, fused_grad), (composite, composite_grad) = results
-    assert np.array_equal(fused, composite)
-    assert np.array_equal(fused_grad, composite_grad)
-    pt.reset_madds()
-    with pt.no_grad():
-        pt.glu(Tensor(data))
-    assert pt.madds() == 2 * fused.size
-
-
-def test_glu_rejects_odd_width():
-    with pytest.raises(ShapeError):
-        pt.glu(Tensor(np.zeros((2, 5))))
-
-
 def test_move_rows_packs_and_unpacks_like_numpy_indexing():
     rng = np.random.default_rng(4)
     padded = rng.normal(size=(2, 3, 4))
@@ -814,39 +780,6 @@ def test_relu_with_dropout_is_the_relu_then_dropout_arithmetic_bit_for_bit():
     assert gen.bit_generator.state == np.random.default_rng(12).bit_generator.state
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-def test_lightweight_conv_on_packed_rows_is_unpack_conv_pack_bit_for_bit(k):
-    """Packed rows in and out, with the forward, both gradients and the madds of
-    move_rows -> lightweight_conv -> move_rows; the last batch row is all
-    padding, and T = 3 is below the widest kernel."""
-    rng = np.random.default_rng(13)
-    mask = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0]])
-    ids = np.flatnonzero(mask)
-    rows_data, taps_data = rng.normal(size=(ids.size, 6)), rng.normal(size=(2, k))
-    g = rng.normal(size=(ids.size, 6))
-
-    def run(packed):
-        rows, taps = Parameter(rows_data.copy()), Parameter(taps_data.copy())
-        pt.reset_madds()
-        if packed:
-            out = pt.lightweight_conv(rows, taps, ids, mask.shape)
-        else:
-            out = pt.move_rows(pt.lightweight_conv(pt.move_rows(rows, ids, mask.shape), taps), ids)
-        madds = pt.madds()
-        backward((out * Tensor(g)).sum())
-        return out.data, madds, rows.grad, taps.grad
-
-    fused, composite = run(True), run(False)
-    assert fused[0].shape == (ids.size, 6)
-    assert fused[1] == composite[1] == mask.size * 6 * k
-    for got, want in zip(fused, composite):
-        assert np.array_equal(got, want)
-    with pytest.raises(ShapeError):
-        pt.lightweight_conv(Tensor(rows_data[1:]), Tensor(taps_data), ids, mask.shape)
-    with pytest.raises(ShapeError):
-        pt.lightweight_conv(Tensor(rows_data), Tensor(taps_data))
-
-
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_matches_per_head_loop(heads, masked):
@@ -877,3 +810,250 @@ def test_attention_matches_per_head_loop(heads, masked):
 def test_attention_rejects_misfit_shapes(shapes, heads, mask):
     with pytest.raises(ShapeError):
         pt.attention(*(Tensor(np.ones(shape)) for shape in shapes), heads, mask)
+
+
+# -- the fused block sublayers against their composites ------------------------------------
+
+def glu_node(u):
+    """The glu op the lightweight-conv sublayer fuses: a * sigmoid(c) for the
+    halves [a | c], one node whose backward writes both halves into one buffer."""
+    d = u.shape[-1] // 2
+    a, s = u.data[..., :d], pt._sigmoid(u.data[..., d:])
+
+    def bw(g):
+        buf = np.empty_like(u.data)
+        buf[..., :d] = g * s
+        buf[..., d:] = g * a * s * (1.0 - s)
+        u._accum(buf)
+
+    out = a * s
+    return pt._make(out, (u,), bw, madds=2 * out.size)
+
+
+def lconv_node(x, taps, ids=None, padded=None):
+    """The lightweight_conv op the sublayer fuses, over [B, T, d] or the packed
+    rows ``ids`` pick from a ``padded`` (B, T) grid: a sliding window and one
+    contraction each way, counting k madds per element of the grid."""
+    h, k = taps.shape
+    d = x.shape[-1]
+    b, t = x.shape[:2] if ids is None else padded
+    if ids is None:
+        zp = pt._pad_time(x.data, k // 2, k // 2)
+    else:
+        zp = np.zeros((b, t + k - 1, d), dtype=x.data.dtype)
+        zp.reshape(-1, d)[ids + ids // t * (k - 1) + k // 2] = x.data
+
+    def windows(z):
+        return pt._time_windows(z, k).reshape(b, t, h, d // h, k)
+
+    win = windows(zp)
+    out = np.matmul(win, taps.data[:, :, None]).reshape(b, t, d)
+
+    def bw(g):
+        if ids is not None:
+            full = np.zeros((b * t, d), dtype=g.dtype)
+            full[ids] = g
+            g = full.reshape(b, t, d)
+        if not taps.const:
+            taps._accum(np.matmul(g.reshape(b, t, h, 1, d // h), win).sum(axis=(0, 1)).reshape(h, k))
+        if not x.const:
+            flipped = np.ascontiguousarray(taps.data[:, ::-1, None])
+            g_x = np.matmul(windows(pt._pad_time(g, k // 2, k // 2)), flipped)
+            x._accum(g_x.reshape(b, t, d) if ids is None else g_x.reshape(-1, d)[ids])
+
+    madds = out.size * k
+    if ids is not None:
+        out = out.reshape(-1, d)[ids]
+    return pt._make(out, (x, taps), bw, madds=madds)
+
+
+def ff_composite(x, gain, bias, w1, b1, w2, b2, rate=0.0, rng=None, eps=1e-6):
+    """The layer_norm, matmul, relu-with-dropout, matmul and add nodes that
+    ``ff_sublayer`` fuses."""
+    return x + pt.matmul(pt.relu(pt.matmul(pt.layer_norm(x, gain, bias, eps), w1, b1), rate, rng),
+                         w2, b2)
+
+
+def lconv_composite(x, gain, bias, w, b, taps, ids=None, padded=None, rate=0.0, rng=None,
+                    eps=1e-6, unpack=False):
+    """The layer_norm, matmul, glu, lightweight_conv, dropout and add nodes that
+    ``lconv_sublayer`` fuses; with ``unpack`` the conv runs on the [B, T, d]
+    grid between an unpack and a pack instead of on the packed rows."""
+    v = glu_node(pt.matmul(pt.layer_norm(x, gain, bias, eps), w, b))
+    if ids is not None and unpack:
+        c = pt.move_rows(lconv_node(pt.move_rows(v, ids, padded), taps), ids)
+    else:
+        c = lconv_node(v, taps, ids, padded)
+    return x + pt.dropout(c, rate, rng)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def run_op(op, arrays, rate=0.0, seed=None, **kwargs):
+    """Forward, madds and backward against fixed weights: returns the output,
+    the madds, the generator's next draw, and every input's gradient."""
+    params = [Parameter(a) for a in arrays]
+    rng = None if seed is None else np.random.default_rng(seed)
+    pt.reset_madds()
+    out = op(*params, rate=rate, rng=rng, **kwargs)
+    madds = pt.madds()
+    weights = np.random.default_rng(99).normal(size=out.shape)
+    backward((out * Tensor(weights)).sum())
+    draw = None if rng is None else rng.random()
+    return out.data, madds, draw, [p.grad for p in params]
+
+
+def assert_same_run(fused, composite, exact=same_bits):
+    (out, madds, draw, grads), (ref_out, ref_madds, ref_draw, ref_grads) = fused, composite
+    assert exact(out, ref_out)
+    assert madds == ref_madds and draw == ref_draw
+    assert len(grads) == len(ref_grads)
+    for got, want in zip(grads, ref_grads):
+        assert exact(got, want)
+
+
+def sublayer_inputs(kind, lead, d, rng, heads=2, k=5):
+    """x [*lead, d] and the sublayer's parameters, as a block holds them."""
+    x = rng.normal(size=lead + (d,)) * 2.0 + 0.5
+    norm = [rng.uniform(0.5, 1.5, size=d), rng.normal(size=d) * 0.1]
+    if kind == "ff":
+        return [x, *norm, rng.normal(size=(d, 4 * d)) * 0.5, rng.normal(size=4 * d) * 0.1,
+                rng.normal(size=(4 * d, d)) * 0.5, rng.normal(size=d) * 0.1]
+    taps = pt._softmax(rng.normal(size=(heads, k)), 1)
+    return [x, *norm, rng.normal(size=(d, 2 * d)) * 0.5, rng.normal(size=2 * d) * 0.1, taps]
+
+
+# the valid rows of a [3, 3] grid: full, one, and two of three; T = 3 is below k = 5
+PACKED_MASK = np.array([[1, 1, 1], [1, 0, 0], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("mode", ["standard", "high"])
+@pytest.mark.parametrize("packed", [False, True], ids=["unpadded", "packed"])
+@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("k", [3, 5])
+def test_sublayers_equal_their_composites_bit_for_bit(mode, packed, rate, k):
+    """Each fused sublayer against the nodes it replaces: the forward, every
+    input's gradient (x's too), the madds and the generator's next draw."""
+    ids = np.flatnonzero(PACKED_MASK) if packed else None
+    lead = (ids.size,) if packed else PACKED_MASK.shape
+    seed = 17 if rate else None
+    with pt.precision(mode):
+        for kind in ("ff", "lconv"):
+            arrays = [np.asarray(a, dtype=pt.active_dtype())
+                      for a in sublayer_inputs(kind, lead, 4, np.random.default_rng(k), k=k)]
+            if kind == "ff":
+                fused = run_op(pt.ff_sublayer, arrays, rate, seed)
+                composite = run_op(ff_composite, arrays, rate, seed)
+            else:
+                extra = {"ids": ids, "padded": PACKED_MASK.shape}
+                fused = run_op(pt.lconv_sublayer, arrays, rate, seed, **extra)
+                composite = run_op(lconv_composite, arrays, rate, seed, **extra)
+            assert fused[0].dtype == pt.active_dtype()
+            assert_same_run(fused, composite)
+
+
+@pytest.mark.parametrize("kind", ["ff", "lconv"])
+def test_sublayers_keep_nothing_under_no_grad(kind):
+    arrays = sublayer_inputs(kind, (2, 3), 4, np.random.default_rng(1))
+    op = pt.ff_sublayer if kind == "ff" else pt.lconv_sublayer
+    with pt.no_grad():
+        out = op(*[Tensor(a) for a in arrays], rate=0.3, rng=np.random.default_rng(2))
+    assert out._parents == () and out._backward is None
+
+
+def reference_lconv_sublayer(x, gain, bias, w, b, taps):
+    """x + lconv(glu(LN(x) @ w + b)) in plain numpy, the conv as a tap loop."""
+    u = reference_layer_norm(x, gain, bias) @ w + b
+    d = x.shape[-1]
+    return x + reference_lightweight_conv(u[..., :d] / (1.0 + np.exp(-u[..., d:])), taps)
+
+
+@pytest.mark.parametrize("heads,k,t", [(2, 3, 5), (3, 5, 4), (1, 1, 3), (2, 7, 2)])
+def test_lightweight_conv_matches_tap_loop(heads, k, t):
+    """The conv sublayer (its conv a window contraction) against numpy with a
+    tap loop: the forward, every gradient by central differences, and the
+    composite's madds."""
+    rng = np.random.default_rng(k + t)
+    arrays = [rng.normal(size=(2, t, 6)), rng.uniform(0.5, 1.5, size=6), rng.normal(size=6),
+              rng.normal(size=(6, 12)) * 0.5, rng.normal(size=12), rng.normal(size=(heads, k))]
+    check_fused(pt.lconv_sublayer, reference_lconv_sublayer, arrays, seed=1)
+    counts = []
+    for op in (pt.lconv_sublayer, lconv_composite):
+        pt.reset_madds()
+        with pt.no_grad():
+            op(*[Tensor(a) for a in arrays])
+        counts.append(pt.madds())
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_lightweight_conv_on_packed_rows_is_unpack_conv_pack_bit_for_bit(k):
+    """The conv sublayer on packed rows against the composite whose conv runs
+    between move_rows unpack and pack: the forward, every gradient and the
+    madds; the last batch row is all padding, and T = 3 is below the widest
+    kernel."""
+    mask = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0]])
+    ids = np.flatnonzero(mask)
+    arrays = sublayer_inputs("lconv", (ids.size,), 6, np.random.default_rng(13), k=k)
+    extra = {"ids": ids, "padded": mask.shape}
+    fused = run_op(pt.lconv_sublayer, arrays, **extra)
+    assert fused[0].shape == (ids.size, 6)
+    assert_same_run(fused, run_op(lconv_composite, arrays, unpack=True, **extra), np.array_equal)
+    with pytest.raises(ShapeError, match="3 row ids"):
+        pt.lconv_sublayer(*arrays, ids=ids[1:], padded=mask.shape)
+    with pytest.raises(ShapeError):
+        pt.lconv_sublayer(*arrays)  # [M, d] rows without their ids
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 8), (5, 4)])
+def test_glu_matches_slice_sigmoid_product(shape):
+    """Through a width-one tap, which passes rows through unchanged, the conv
+    sublayer is x + glu(LN(x) @ w + b): equal to the slice, sigmoid and
+    product composite in value and every gradient; the composite's madds plus
+    one per element of the conv's grid.  (5, 4) runs on packed rows."""
+    rng = np.random.default_rng(len(shape))
+    d = shape[-1] // 2
+    arrays = [rng.normal(size=shape[:-1] + (d,)), rng.uniform(0.5, 1.5, size=d),
+              rng.normal(size=d), rng.normal(size=(d, 2 * d)) * 3.0, rng.normal(size=2 * d)]
+    unit_tap = np.ones((1, 1))
+    ids, grid = (np.array([0, 1, 2, 4, 5]), (2, 3)) if len(shape) == 2 else (None, shape[:2])
+
+    def slice_sigmoid_product(x, gain, bias, w, b, rate, rng):
+        u = pt.matmul(pt.layer_norm(x, gain, bias), w, b)
+        return x + u[..., :d] * pt.sigmoid(u[..., d:])
+
+    fused = run_op(lambda *a, rate, rng: pt.lconv_sublayer(*a, unit_tap, ids, grid, rate, rng),
+                   arrays)
+    composite = run_op(slice_sigmoid_product, arrays)
+    assert np.array_equal(fused[0], composite[0])
+    assert fused[1] == composite[1] + grid[0] * grid[1] * d
+    for got, want in zip(fused[3], composite[3]):
+        assert np.array_equal(got, want)
+
+
+def test_glu_rejects_odd_width():
+    x = np.zeros((2, 3, 4))
+    with pytest.raises(ShapeError, match=re.escape("(4, 7), (7,)")):
+        pt.lconv_sublayer(x, np.ones(4), np.zeros(4), np.zeros((4, 7)), np.zeros(7), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("kind, shapes", [
+    ("ff", [(2, 3, 4), (4,), (4,), (5, 16), (16,), (16, 4), (4,)]),
+    ("ff", [(2, 3, 4), (4,), (4,), (4, 16), (8,), (16, 4), (4,)]),
+    ("ff", [(2, 3, 4), (4,), (4,), (4, 16), (16,), (16, 5), (4,)]),
+    ("ff", [(2, 3, 4), (3,), (4,), (4, 16), (16,), (16, 4), (4,)]),
+    ("ff", [(4,), (4,), (4,), (4, 16), (16,), (16, 4), (4,)]),
+    ("lconv", [(2, 3, 4), (4,), (4,), (4, 6), (6,), (2, 3)]),
+    ("lconv", [(2, 3, 4), (4,), (5,), (4, 8), (8,), (2, 3)]),
+    ("lconv", [(2, 3, 4), (4,), (4,), (4, 8), (8,), (3, 3)]),
+    ("lconv", [(2, 3, 4), (4,), (4,), (4, 8), (8,), (2, 4)]),
+    ("lconv", [(2, 3, 4), (4,), (4,), (4, 8), (8,), (6,)]),
+    ("lconv", [(6, 4), (4,), (4,), (4, 8), (8,), (2, 3)]),
+], ids=["ff-w1-rows", "ff-b1", "ff-w2", "ff-gain", "ff-rank-1", "lconv-w", "lconv-bias",
+        "lconv-heads-do-not-divide", "lconv-even-taps", "lconv-taps-rank", "lconv-rank-2"])
+def test_sublayers_reject_misfit_shapes(kind, shapes):
+    op = pt.ff_sublayer if kind == "ff" else pt.lconv_sublayer
+    with pytest.raises(ShapeError, match=re.escape("got " + ", ".join(str(s) for s in shapes[:-1]))):
+        op(*(np.ones(shape) for shape in shapes))

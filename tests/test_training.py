@@ -366,7 +366,7 @@ def test_train_step_releases_every_gradient_after_the_update(tiny_spec, tiny_cor
 # ``tensor.nodes_per_step`` and ``tensor.graph_mb`` of perfbench), for the
 # acceptance config on its 16-utterance corpus.  A change that grows either
 # fails here; one that shrinks them updates the pin.
-GRAPH_PINS = {"novae": (249, 24_080_308), "global": (367, 32_669_784), "fine": (378, 34_933_544)}
+GRAPH_PINS = {"novae": (205, 14_807_988), "global": (296, 18_752_600), "fine": (316, 20_434_728)}
 
 
 def test_train_step_graph_nodes_and_bytes_are_pinned(monkeypatch):
